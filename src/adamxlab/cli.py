@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from typing import Optional
 from xml.sax.saxutils import escape
@@ -65,6 +64,7 @@ class ExperimentConfig:
             raise ValueError("steps must be ≥ 1")
         if self.dim < 1:
             raise ValueError("dim must be ≥ 1")
+        self.hyperparams()
 
     def hyperparams(self):
         return HyperParams(alpha=self.alpha, beta1=self.beta1, beta2=self.beta2,
@@ -116,6 +116,17 @@ def _write_trace_csv(stream, trace):
         writer.writerow(row)
 
 
+def _stdout(write, *args):
+    """Call ``write(*args)`` and flush stdout. A reader that closed the pipe
+    early (``| head``) sends the rest to the null device; the command goes
+    on and keeps its own exit code."""
+    try:
+        write(*args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _summary_line(trace):
     total = float(trace.cumulative_regret[-1])
     return f"T={trace.T} R(T)={_fmt(total)} R(T)/T={_fmt(total / trace.T)}"
@@ -164,19 +175,16 @@ def cmd_run(args):
             print(f"batch entries must set output_path (missing in entry {missing[0]})",
                   file=sys.stderr)
             return EXIT_USAGE
-        threads = os.environ.get("ADAMXLAB_THREADS")
-        workers = max(1, int(threads)) if threads else min(8, len(configs))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_execute_run, configs))
         status = EXIT_OK
-        for config, (code, message, trace) in zip(configs, results):
+        for config in configs:
+            code, message, trace = _execute_run(config)
             if code != EXIT_OK:
                 print(message, file=sys.stderr)
                 status = code
                 continue
             with open(config.output_path, "w", newline="") as f:
                 _write_trace_csv(f, trace)
-            print(message)
+            _stdout(print, message)
         return status
 
     config = configs[0]
@@ -187,27 +195,17 @@ def cmd_run(args):
     if config.output_path:
         with open(config.output_path, "w", newline="") as f:
             _write_trace_csv(f, trace)
-        print(message)
+        _stdout(print, message)
     else:
-        _write_trace_csv(sys.stdout, trace)
+        _stdout(_write_trace_csv, sys.stdout, trace)
         print(message, file=sys.stderr)
     return EXIT_OK
 
 
 def _flag_overrides(args):
     """Flag values the user actually supplied (None means untouched)."""
-    mapping = [("problem", "problem"), ("optimizer", "optimizer"),
-               ("schedule", "schedule"), ("alpha", "alpha"), ("beta1", "beta1"),
-               ("beta2", "beta2"), ("lam", "lam"), ("epsilon", "epsilon"),
-               ("steps", "steps"), ("seed", "seed"), ("dim", "dim"),
-               ("record_full", "record_full"), ("alpha_constant", "alpha_constant"),
-               ("bias_correction", "bias_correction"), ("output", "output_path")]
-    out = {}
-    for attr, key in mapping:
-        value = getattr(args, attr, None)
-        if value is not None:
-            out[key] = value
-    return out
+    return {key: value for key, value in vars(args).items()
+            if key in _CONFIG_KEYS and value is not None}
 
 
 def cmd_verify(args):
@@ -236,7 +234,7 @@ def cmd_verify(args):
         with open(args.output, "w") as f:
             f.write(text + "\n")
     else:
-        print(text)
+        _stdout(print, text)
     return EXIT_OK if all_pass else EXIT_CHECK_FAILED
 
 
@@ -347,7 +345,7 @@ def cmd_plot(args):
     svg = _svg_chart(series, args.column)
     with open(args.output, "w") as f:
         f.write(svg)
-    print(f"wrote {args.output}")
+    _stdout(print, f"wrote {args.output}")
     return EXIT_OK
 
 
@@ -379,7 +377,7 @@ def build_parser():
     run.add_argument("--bias-correction", dest="bias_correction",
                      action=argparse.BooleanOptionalAction, default=None,
                      help="adam only: rescale moments by 1/(1-beta^t)")
-    run.add_argument("--output", help="CSV path (stdout when omitted)")
+    run.add_argument("--output", dest="output_path", help="CSV path (stdout when omitted)")
     run.set_defaults(func=cmd_run)
 
     verify = sub.add_parser("verify", help="run a verification suite, print a JSON report")

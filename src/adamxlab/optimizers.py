@@ -1,24 +1,28 @@
-"""Projected adaptive-moment step rules and their momentum schedules.
+"""Projected adaptive-moment steps and their momentum schedules.
 
-Three closely related optimizers share the moment recursions
+All three optimizers take the same step, ``_step``:
 
     m_t = beta1_t * m_{t-1} + (1 - beta1_t) * g_t
     v_t = beta2   * v_{t-1} + (1 - beta2)   * g_t^2
+    x_{t+1} = clamp(x_t - alpha_t * m_t / (sqrt(v_hat_t) + eps), box)
 
-and differ only in the denominator surrogate v_hat:
+with alpha_t = alpha / sqrt(t). They differ only in the rule that turns
+v_t into the denominator surrogate v_hat_t:
 
-* ``step_adam``    keeps v_hat_t = v_t (no maximum), optionally with the
-  usual bias correction applied inside the update.
-* ``step_amsgrad`` keeps the running maximum v_hat_t = max(v_hat_{t-1}, v_t).
-* ``step_adamx``   rescales the previous maximum before comparing,
+* adam, ``_raw``: v_hat_t = v_t. With ``bias_correction`` the update
+  divides m_t by 1 - beta1^t and v_t by 1 - beta2^t, using the base
+  weights, not the scheduled beta1_t.
+* amsgrad, ``_running_max``: v_hat_t = max(v_hat_{t-1}, v_t).
+* adamx, ``_rescaled_max``: v_hat_1 = v_1, then
   v_hat_t = max(((1-beta1_t)^2/(1-beta1_{t-1})^2) * v_hat_{t-1}, v_t),
-  with v_hat_1 = v_1, which keeps sqrt(t * v_hat_t)/(1-beta1_t)
-  nondecreasing for any decaying schedule.
+  which keeps sqrt(t * v_hat_t)/(1-beta1_t) nondecreasing for any
+  decaying schedule.
 
-The update is x_{t+1} = project(x_t - alpha_t * m_t / (sqrt(v_hat_t) + eps))
-with alpha_t = alpha / sqrt(t). The gradient passed in must have been
-taken at the state's current iterate; the returned state carries the
-post-update iterate together with the moments of step t.
+``step_adam``, ``step_amsgrad`` and ``step_adamx`` bind ``_step`` to one
+rule each. The gradient passed in must have been taken at the state's
+current iterate; the returned state carries the post-update iterate
+together with the moments of step t. A non-finite m, v, v_hat or
+iterate raises NumericFault naming the quantity and the step.
 
 Coordinates whose denominator is exactly zero (possible only when every
 gradient seen so far vanished there, which forces m = 0 too) take a zero
@@ -27,13 +31,13 @@ true update and preserves the 16-digit reference trajectories.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import NumericFault
-from .numerics import as_vector, project_box
+from .numerics import as_vector
 
 
 class Schedule(str, Enum):
@@ -68,16 +72,16 @@ class HyperParams:
 
     def __post_init__(self):
         object.__setattr__(self, "schedule", Schedule(self.schedule))
-        if not self.alpha > 0:
-            raise ValueError("alpha must be > 0")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError("alpha must be finite and > 0")
         if not 0 <= self.beta1 < 1:
             raise ValueError("beta1 must lie in [0, 1)")
         if not 0 < self.beta2 < 1:
             raise ValueError("beta2 must lie in (0, 1)")
         if not 0 < self.lam < 1:
             raise ValueError("lambda must lie in (0, 1)")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
+        if not 0 <= self.epsilon < math.inf:
+            raise ValueError("epsilon must be finite and >= 0")
         if self.gamma > 1:
             raise ValueError("beta1/sqrt(beta2) must not exceed 1")
 
@@ -127,82 +131,76 @@ def alpha_at(t, h):
     return h.alpha / math.sqrt(t)
 
 
-def _moments(state, g, b1, h):
-    g = as_vector(g, dim=state.x.shape[0])
+def _raw(state, v, b1):
+    return v.copy()
+
+
+def _running_max(state, v, b1):
+    return np.maximum(state.v_hat, v)
+
+
+def _rescaled_max(state, v, b1):
+    if state.t == 0:
+        return v.copy()
+    b1_prev = state.beta1_prev
+    if b1_prev is None:
+        raise ValueError("state lacks beta1_prev; advance it from a fresh state")
+    if b1_prev >= 1:
+        raise ValueError("beta1 of the previous step must be below 1")
+    scale = (1.0 - b1) ** 2 / (1.0 - b1_prev) ** 2
+    return np.maximum(scale * state.v_hat, v)
+
+
+def _step(state, g, h, box, rule):
+    """One projected step with the v_hat rule ``rule``.
+
+    Only a gradient of the wrong shape goes through ``as_vector``. One
+    sum over m + v + v_hat + z (z the pre-clamp iterate) is non-finite
+    whenever any entry is; only then are ``g`` (ValueError) and each
+    quantity (NumericFault) checked one by one, so a sum that merely
+    overflowed over finite entries raises nothing.
+    """
+    x = state.x
+    g = np.asarray(g, dtype=np.float64)
+    if g.shape != x.shape:
+        g = as_vector(g, dim=x.shape[0])
+    if box.lower.shape != x.shape:
+        raise ValueError(f"dimension mismatch: expected {box.dim}, got {x.shape[0]}")
+    t = state.t + 1
+    b1 = beta1_at(t, h)
     m = b1 * state.m + (1.0 - b1) * g
     v = h.beta2 * state.v + (1.0 - h.beta2) * g * g
-    return m, v
-
-
-def _guarded_update(m, v_hat, eps):
-    denom = np.sqrt(v_hat) + eps
-    out = np.zeros_like(m)
-    np.divide(m, denom, out=out, where=denom > 0.0)
-    return out
-
-def _finish(state, m, v, v_hat, update, t, b1, h, box):
-    z = state.x - alpha_at(t, h) * update
-    for name, arr in (("m", m), ("v", v), ("v_hat", v_hat), ("x", z)):
-        if not np.all(np.isfinite(arr)):
-            raise NumericFault(f"non-finite {name} at step {t}", step=t)
-    x = project_box(z, box)
+    v_hat = rule(state, v, b1)
+    m_eff, v_eff = m, v_hat
+    if rule is _raw and h.bias_correction:
+        m_eff = m / (1.0 - h.beta1 ** t)
+        v_eff = v / (1.0 - h.beta2 ** t)
+    denom = np.sqrt(v_eff) + h.epsilon
+    update = np.zeros_like(m)
+    np.divide(m_eff, denom, out=update, where=denom > 0.0)
+    z = x - alpha_at(t, h) * update
+    if not math.isfinite((m + v + v_hat + z).sum()):
+        as_vector(g)
+        for name, arr in (("m", m), ("v", v), ("v_hat", v_hat), ("x", z)):
+            if not np.all(np.isfinite(arr)):
+                raise NumericFault(f"non-finite {name} at step {t}", step=t)
+    x = np.minimum(np.maximum(z, box.lower), box.upper)
     return OptimizerState(x=x, m=m, v=v, v_hat=v_hat, t=t, beta1_prev=b1)
+
+
+def step_adam(state, g, h, box):
+    """One step with the raw second moment as denominator."""
+    return _step(state, g, h, box, _raw)
 
 
 def step_amsgrad(state, g, h, box):
     """One step with the running-maximum denominator."""
-    t = state.t + 1
-    b1 = beta1_at(t, h)
-    m, v = _moments(state, g, b1, h)
-    v_hat = np.maximum(state.v_hat, v)
-    update = _guarded_update(m, v_hat, h.epsilon)
-    return _finish(state, m, v, v_hat, update, t, b1, h, box)
+    return _step(state, g, h, box, _running_max)
 
 
 def step_adamx(state, g, h, box):
-    """One step with the rescaled-maximum denominator.
-
-    At t = 1 the rule is v_hat_1 = v_1; afterwards the previous maximum
-    is shrunk by ((1-beta1_t)/(1-beta1_{t-1}))^2 before the comparison,
-    so a decaying schedule can never leave the denominator stranded at a
-    stale scale.
-    """
-    t = state.t + 1
-    b1 = beta1_at(t, h)
-    m, v = _moments(state, g, b1, h)
-    if t == 1:
-        v_hat = v.copy()
-    else:
-        b1_prev = state.beta1_prev
-        if b1_prev is None:
-            raise ValueError("state lacks beta1_prev; advance it from a fresh state")
-        if b1_prev >= 1:
-            raise ValueError("beta1 of the previous step must be below 1")
-        scale = (1.0 - b1) ** 2 / (1.0 - b1_prev) ** 2
-        v_hat = np.maximum(scale * state.v_hat, v)
-    update = _guarded_update(m, v_hat, h.epsilon)
-    return _finish(state, m, v, v_hat, update, t, b1, h, box)
-
-
-def step_adam(state, g, h, box):
-    """One step with the raw second moment as denominator.
-
-    Bias correction, when enabled, uses the base weights beta1 and beta2
-    (not the scheduled beta1_t) in the classic 1 - beta^t factors. The
-    stored v_hat mirrors v so states stay interchangeable with the other
-    steppers.
-    """
-    t = state.t + 1
-    b1 = beta1_at(t, h)
-    m, v = _moments(state, g, b1, h)
-    v_hat = v.copy()
-    if h.bias_correction:
-        m_eff = m / (1.0 - h.beta1 ** t)
-        v_eff = v / (1.0 - h.beta2 ** t)
-    else:
-        m_eff, v_eff = m, v
-    update = _guarded_update(m_eff, v_eff, h.epsilon)
-    return _finish(state, m, v, v_hat, update, t, b1, h, box)
+    """One step with the rescaled-maximum denominator."""
+    return _step(state, g, h, box, _rescaled_max)
 
 
 STEPPERS = {

@@ -168,15 +168,11 @@ def check_counterexample():
     ]
 
 
-def _beta1_seq_for(h, T):
-    return np.array([beta1_at(t, h) for t in range(1, T + 1)])
-
-
 def beta1_sequence(h, T):
     """beta_{1,t} for t = 1..T as an array (entry t-1 holds step t)."""
     if T < 1:
         raise ValueError("horizon must be >= 1")
-    return _beta1_seq_for(h, T)
+    return np.array([beta1_at(t, h) for t in range(1, T + 1)])
 
 
 def find_t0(schedule, h, vhat_history, T):
@@ -197,14 +193,10 @@ def find_t0(schedule, h, vhat_history, T):
     if schedule is not None and Schedule(schedule) != h.schedule:
         h = replace(h, schedule=Schedule(schedule))
 
-    last_fail = 1
-    prev = np.sqrt(vh[0]) / (1.0 - beta1_at(1, h))
-    for t in range(2, T + 1):
-        cur = np.sqrt(t * vh[t - 1]) / (1.0 - beta1_at(t, h))
-        if np.any(cur < prev):
-            last_fail = t
-        prev = cur
-    return last_fail
+    ts = np.arange(1, T + 1, dtype=np.float64)[:, None]
+    scaled = np.sqrt(ts * vh[:T]) / (1.0 - beta1_sequence(h, T))[:, None]
+    fails = np.flatnonzero((scaled[1:] < scaled[:-1]).any(axis=1))
+    return int(fails[-1]) + 2 if fails.size else 1
 
 
 def find_t0_schedule(schedule, h, T):
@@ -366,20 +358,17 @@ def check_adamx_vhat_closed_form(trace, beta1_seq, label=""):
     seq = np.asarray(beta1_seq, dtype=np.float64)
     if seq.shape != (trace.T,):
         raise ValueError(f"beta1_seq must have length T={trace.T}")
-    one_minus = 1.0 - seq
-    worst = 0.0
-    t_failed = None
-    for t in range(1, trace.T + 1):
-        weights = (one_minus[t - 1] / one_minus[:t]) ** 2
-        closed = np.max(weights[:, None] * trace.v_history[:t], axis=0)
-        recursive = trace.vhat_history[t - 1]
-        scale = np.maximum(np.abs(closed), np.abs(recursive))
-        rel = np.abs(closed - recursive) / np.where(scale > 0.0, scale, 1.0)
-        peak = float(np.max(rel))
-        if peak > worst:
-            worst = peak
-            if peak > 1e-12 and t_failed is None:
-                t_failed = t
+    # max_s ((1-b_t)/(1-b_s))^2 v_s = (1-b_t)^2 * max_s v_s/(1-b_s)^2,
+    # so one running maximum gives every t at once
+    one_minus_sq = ((1.0 - seq) ** 2)[:, None]
+    closed = one_minus_sq * np.maximum.accumulate(trace.v_history / one_minus_sq, axis=0)
+    recursive = trace.vhat_history
+    scale = np.maximum(np.abs(closed), np.abs(recursive))
+    rel = np.abs(closed - recursive) / np.where(scale > 0.0, scale, 1.0)
+    peaks = rel.max(axis=1)
+    worst = float(np.fmax.reduce(peaks, initial=0.0))
+    over = np.flatnonzero(peaks > 1e-12)
+    t_failed = int(over[0]) + 1 if over.size else None
     name = f"adamx_vhat_closed_form[{label}]" if label else "adamx_vhat_closed_form"
     return CheckReport(check=name, status=_status(worst <= 1e-12),
                        lhs=worst, rhs=1e-12, slack=worst, t_failed=t_failed)
@@ -445,7 +434,7 @@ def decomposition_terms(trace, h):
     T = trace.T
     sq = (trace.iterates - trace.comparator) ** 2
     alphas = np.array([alpha_at(t, h) for t in range(1, T + 1)])
-    b1s = _beta1_seq_for(h, T)
+    b1s = beta1_sequence(h, T)
     sv = np.sqrt(trace.vhat_history)
 
     coeff_a = sv / (2.0 * alphas[:, None] * (1.0 - b1s)[:, None])

@@ -58,6 +58,13 @@ def test_run_propagates_numeric_fault(capsys):
     assert "numeric fault at step 1" in err
 
 
+def test_run_rejects_infinite_alpha(capsys):
+    # used to pass validation and fail only at step 1 as a numeric fault
+    code, out, err = run_cli(["run", "--alpha", "inf", "--steps", "2"], capsys)
+    assert code == 2
+    assert "alpha must be finite" in err
+
+
 def test_run_rejects_unknown_optimizer(capsys):
     code, out, err = run_cli(["run", "--optimizer", "sgd"], capsys)
     assert code == 2
@@ -111,8 +118,7 @@ def test_config_missing_file(tmp_path, capsys):
     assert "cannot read config" in err
 
 
-def test_batch_runs_every_entry(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("ADAMXLAB_THREADS", "2")
+def test_batch_runs_every_entry(tmp_path, capsys):
     out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
     cfg = tmp_path / "batch.json"
     cfg.write_text(json.dumps([
@@ -170,6 +176,14 @@ def test_verify_rejects_invalid_hyperparameters(capsys):
     code, out, err = run_cli(["verify", "bounds", "--beta2", "1.5"], capsys)
     assert code == 2
     assert "invalid hyperparameters" in err
+
+
+def test_verify_rejects_nan_epsilon(capsys):
+    # a NaN epsilon fails the denom > 0 guard on every coordinate, which
+    # froze the iterate and let the bounds suite report "pass"
+    code, out, err = run_cli(["verify", "bounds", "--epsilon", "nan"], capsys)
+    assert code == 2
+    assert "epsilon must be finite" in err
 
 
 def test_verify_rejects_unknown_suite(capsys):
@@ -285,3 +299,20 @@ def test_module_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert GOLDEN_X2 in proc.stdout
+
+
+@pytest.mark.parametrize("argv, read_lines, code", [
+    (["run", "--steps", "50000"], 1, 0),
+    (["verify", "counterexample"], 0, 0),
+    (["verify", "bounds", "--beta2", "0.81"], 0, 1),
+])
+def test_closed_stdout_keeps_exit_code(argv, read_lines, code):
+    # the reader closes the pipe after read_lines lines, as `| head` does
+    proc = subprocess.Popen([sys.executable, "-m", "adamxlab"] + argv,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    for _ in range(read_lines):
+        proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == code
+    assert "Traceback" not in err and "BrokenPipeError" not in err

@@ -81,6 +81,11 @@ def test_hyperparams_validation():
         HyperParams(lam=1.0)
     with pytest.raises(ValueError):
         HyperParams(epsilon=-1e-9)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            HyperParams(alpha=bad)
+        with pytest.raises(ValueError):
+            HyperParams(epsilon=bad)
 
 
 def test_gamma_above_one_rejected():
@@ -264,6 +269,48 @@ def test_non_finite_moment_raises_numeric_fault():
     with np.errstate(over="ignore"), pytest.raises(NumericFault) as info:
         step_amsgrad(state, np.array([1e200]), H_REF, BOX_REF)
     assert info.value.step == 1
+    assert "non-finite v at step 1" in str(info.value)
+
+
+@pytest.mark.parametrize("stepper", [step_adam, step_amsgrad, step_adamx])
+def test_non_finite_iterate_raises_numeric_fault(stepper):
+    # m, v and v_hat stay finite; alpha * update = 1e308 * 3.16 overflows
+    h = HyperParams(alpha=1e308, beta1=0.9, beta2=0.999, lam=0.001,
+                    schedule=Schedule.EXP_DECAY)
+    with np.errstate(over="ignore"), pytest.raises(NumericFault) as info:
+        stepper(fresh_state(np.zeros(1)), np.array([1.0]), h, BOX_REF)
+    assert "non-finite x at step 1" in str(info.value)
+
+
+def test_overflowing_finiteness_sum_is_not_a_fault():
+    # v = v_hat = 0.001 * (3e155)^2 = 9e307 is finite, but the fused
+    # finiteness sum m + v + v_hat + x overflows
+    box = FeasibleBox.cube(-1.0, 1.0, 2)
+    g = np.array([3e155, 3e155])
+    with np.errstate(over="ignore"):
+        s = step_amsgrad(fresh_state(np.zeros(2)), g, H_REF, box)
+        one = step_amsgrad(fresh_state(np.zeros(1)), g[:1], H_REF, BOX_REF)
+    assert np.all(np.isfinite(s.v)) and s.v[0] == s.v[1] > 8e307
+    assert np.array_equal(s.x, np.repeat(one.x, 2))
+
+
+@pytest.mark.parametrize("stepper", [step_adam, step_amsgrad, step_adamx])
+@pytest.mark.parametrize("g", [[np.nan], [np.inf], [-np.inf], [1.0, 2.0], [[1.0]], []])
+def test_direct_call_rejects_bad_gradient(stepper, g):
+    state = fresh_state(np.zeros(1))
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+        stepper(state, np.array(g), H_REF, BOX_REF)
+
+
+def test_scalar_gradient_is_a_length_one_vector():
+    a = step_amsgrad(fresh_state(np.ones(1)), 1010.0, H_REF, BOX_REF)
+    b = advance(step_amsgrad, [1010.0])
+    assert np.array_equal(a.x, b.x) and np.array_equal(a.v_hat, b.v_hat)
+
+
+def test_box_dimension_must_match_state():
+    with pytest.raises(ValueError):
+        step_amsgrad(fresh_state(np.zeros(3)), np.ones(3), H_REF, BOX_REF)
 
 
 def test_resolve_stepper():

@@ -13,13 +13,14 @@ alpha=0.001, beta1=0.9, beta2=0.999, lambda=0.001, t0=1, column norm 1010):
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from adamxlab import (BoundContext, BoundUndefined, HyperParams, Schedule,
                       VerificationFailure, adamx_bound_terms,
-                      amsgrad_bound_terms, beta1_sequence, bound_adamx,
+                      amsgrad_bound_terms, beta1_at, beta1_sequence, bound_adamx,
                       bound_amsgrad, check_adamx_scaled_monotonicity,
                       check_adamx_vhat_closed_form, check_counterexample,
                       check_decomposition, check_regret_bound, check_sum_lemma,
@@ -319,6 +320,73 @@ def test_adamx_closed_form_interval_one():
     tr = run_oco(p, "adamx", H_EXP, 1, record_full=True)
     report = check_adamx_vhat_closed_form(tr, beta1_sequence(H_EXP, 1))
     assert report.status == "pass"
+
+
+# ---------------------------------------- rewritten checks vs loop references
+
+def loop_find_t0(h, vhat, T):
+    """The per-step scan that the vectorized find_t0 replaced."""
+    last_fail = 1
+    prev = np.sqrt(vhat[0]) / (1.0 - beta1_at(1, h))
+    for t in range(2, T + 1):
+        cur = np.sqrt(t * vhat[t - 1]) / (1.0 - beta1_at(t, h))
+        if np.any(cur < prev):
+            last_fail = t
+        prev = cur
+    return last_fail
+
+
+def quadratic_closed_form(trace, seq):
+    """The O(T^2) closed-form check that the running maximum replaced;
+    returns (status, worst, t_failed)."""
+    one_minus = 1.0 - seq
+    worst, t_failed = 0.0, None
+    for t in range(1, trace.T + 1):
+        weights = (one_minus[t - 1] / one_minus[:t]) ** 2
+        closed = np.max(weights[:, None] * trace.v_history[:t], axis=0)
+        recursive = trace.vhat_history[t - 1]
+        scale = np.maximum(np.abs(closed), np.abs(recursive))
+        rel = np.abs(closed - recursive) / np.where(scale > 0.0, scale, 1.0)
+        peak = float(np.max(rel))
+        if peak > worst:
+            worst = peak
+            if peak > 1e-12 and t_failed is None:
+                t_failed = t
+    return ("pass" if worst <= 1e-12 else "fail"), worst, t_failed
+
+
+EQUIV_T = 500
+
+
+@pytest.fixture(scope="module")
+def equivalence_runs():
+    """amsgrad and adamx on the synthetic problem and a d=5 quadratic,
+    under both decaying schedules; amsgrad histories fail the closed form."""
+    runs = []
+    for problem in (synthetic_problem(), quadratic_problem(7, 5)):
+        for h in (H_EXP, H_INV):
+            for optimizer in ("amsgrad", "adamx"):
+                runs.append((h, run_oco(problem, optimizer, h, EQUIV_T, record_full=True)))
+    return runs
+
+
+# (row, factor): scale the step-(row+1) vhat; 1 - 1e-13 stays inside the
+# 1e-12 tolerance, the others break it and the t0 ordering
+@pytest.mark.parametrize("tamper", [None, (0, 0.5), (1, 1.0 + 1e-9), (137, 1.0 - 1e-13),
+                                    (250, 2.0), (251, 0.25), (EQUIV_T - 1, 0.5)])
+def test_rewritten_checks_match_loop_references(equivalence_runs, tamper):
+    for h, run in equivalence_runs:
+        trace = replace(run, vhat_history=run.vhat_history.copy())
+        if tamper is not None:
+            row, factor = tamper
+            trace.vhat_history[row] *= factor
+        assert (find_t0(h.schedule, h, trace.vhat_history, EQUIV_T)
+                == loop_find_t0(h, trace.vhat_history, EQUIV_T))
+        seq = beta1_sequence(h, EQUIV_T)
+        report = check_adamx_vhat_closed_form(trace, seq)
+        status, worst, t_failed = quadratic_closed_form(trace, seq)
+        assert (report.status, report.t_failed) == (status, t_failed)
+        assert abs(report.lhs - worst) <= 1e-15
 
 
 def test_monotonicity_and_telescoping_on_adamx():
