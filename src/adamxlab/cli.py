@@ -35,6 +35,26 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
 
+_TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false"}
+
+
+def _type_ok(kind, value):
+    """Whether a config value has its field's type. A bool is a Python int,
+    so it is kept out of the numeric fields by hand; a float field also
+    takes an int that a double can hold, which the hyperparameter checks
+    can then read."""
+    if kind is bool:
+        return isinstance(value, bool)
+    if isinstance(value, bool):
+        return False
+    if kind is int:
+        return isinstance(value, int)
+    if kind is float:
+        return isinstance(value, float) or (
+            isinstance(value, int) and abs(value) <= sys.float_info.max)
+    return value is None or isinstance(value, str)
+
+
 @dataclass
 class ExperimentConfig:
     problem: str = "synthetic"
@@ -54,6 +74,11 @@ class ExperimentConfig:
     output_path: Optional[str] = None
 
     def validate(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _type_ok(f.type, value):
+                raise ValueError(f"{f.name} must be {_TYPE_NAMES.get(f.type, 'a string')}, "
+                                 f"got {value!r}")
         if self.problem not in PROBLEMS:
             raise ValueError(f"problem must be one of {PROBLEMS}, got {self.problem!r}")
         if self.optimizer not in OPTIMIZERS:
@@ -64,6 +89,8 @@ class ExperimentConfig:
             raise ValueError("steps must be ≥ 1")
         if self.dim < 1:
             raise ValueError("dim must be ≥ 1")
+        if self.seed < 0:
+            raise ValueError("seed must be ≥ 0")
         self.hyperparams()
 
     def hyperparams(self):
@@ -175,6 +202,13 @@ def cmd_run(args):
             print(f"batch entries must set output_path (missing in entry {missing[0]})",
                   file=sys.stderr)
             return EXIT_USAGE
+        owners = {}
+        for i, config in enumerate(configs):
+            first = owners.setdefault(os.path.realpath(config.output_path), i)
+            if first != i:
+                print(f"batch entries {first} and {i} share output_path "
+                      f"{config.output_path!r}", file=sys.stderr)
+                return EXIT_USAGE
         status = EXIT_OK
         for config in configs:
             code, message, trace = _execute_run(config)

@@ -7,9 +7,10 @@ against the best fixed point of the summed objective, obtained from
 ``comparator_oracle``.
 
 Everything is deterministic. Random quantities (quadratic centers,
-minibatch draws) come from generators keyed by (seed, t), so any f_t can
-be evaluated at random access and identical configurations produce
-bit-identical traces.
+minibatch draws) come from generators keyed by (seed, t). Each draw is
+made once per problem and memoized, and it yields the same values in any
+access order, so any f_t can be evaluated at random access and identical
+configurations produce bit-identical traces.
 """
 
 import math
@@ -137,10 +138,12 @@ def toy_training_problem(seed=0, n_points=200, batch_size=16):
 
     Parameters are (w1, w2, b) in the box [-10, 10]^3. f_t is the mean
     logistic loss of a minibatch drawn by a generator keyed on (seed, t),
-    so paired optimizer runs face the identical cost sequence. Gradients
-    are analytic. The per-sample gradient magnitude never exceeds the
-    largest feature magnitude (the sigmoid factor is below 1), which
-    gives g_inf from the data alone.
+    so paired optimizer runs face the identical cost sequence. Each
+    minibatch is drawn once per problem and memoized, so cost, grad and
+    the comparator share the draw and see the same rows in any access
+    order. Gradients are analytic. The per-sample gradient magnitude
+    never exceeds the largest feature magnitude (the sigmoid factor is
+    below 1), which gives g_inf from the data alone.
     """
     rng = np.random.default_rng(seed)
     half = n_points // 2
@@ -151,29 +154,38 @@ def toy_training_problem(seed=0, n_points=200, batch_size=16):
     ys = np.concatenate([-np.ones(half), np.ones(n_points - half)])
     box = FeasibleBox.cube(-10.0, 10.0, 3)
     g_inf = max(1.0, float(np.max(np.abs(xs))))
+    indices = {}
 
-    def batch(t):
-        idx = np.random.default_rng((seed, t)).integers(0, n_points, size=batch_size)
-        return xs[idx], ys[idx]
+    def rows(t):
+        idx = indices.get(t)
+        if idx is None:
+            idx = np.random.default_rng((seed, t)).integers(0, n_points, size=batch_size)
+            indices[t] = idx
+        return idx
 
-    def _loss_grad(theta, xb, yb):
-        margins = yb * (xb @ theta[:2] + theta[2])
-        loss = float(np.mean(np.logaddexp(0.0, -margins)))
-        coeff = -yb * expit(-margins)
+    def margins(theta, xb, yb):
+        return yb * (xb @ theta[:2] + theta[2])
+
+    def loss(m):
+        return float(np.mean(np.logaddexp(0.0, -m)))
+
+    def gradient(m, xb, yb):
+        coeff = -yb * expit(-m)
         gw = coeff @ xb / len(yb)
         gb = float(np.mean(coeff))
-        return loss, np.array([gw[0], gw[1], gb])
+        return np.array([gw[0], gw[1], gb])
 
     def cost(t, x):
-        xb, yb = batch(t)
-        return _loss_grad(x, xb, yb)[0]
+        idx = rows(t)
+        return loss(margins(x, xs[idx], ys[idx]))
 
     def grad(t, x):
-        xb, yb = batch(t)
-        return _loss_grad(x, xb, yb)[1]
+        idx = rows(t)
+        xb, yb = xs[idx], ys[idx]
+        return gradient(margins(x, xb, yb), xb, yb)
 
     def full_objective(theta):
-        return _loss_grad(theta, xs, ys)[0]
+        return loss(margins(theta, xs, ys))
 
     comparators = {}
 
@@ -181,13 +193,12 @@ def toy_training_problem(seed=0, n_points=200, batch_size=16):
         got = comparators.get(T)
         if got is not None:
             return got.copy()
-        rows = np.concatenate([np.random.default_rng((seed, t)).integers(0, n_points, size=batch_size)
-                               for t in range(1, T + 1)])
-        xb, yb = xs[rows], ys[rows]
+        idx = np.concatenate([rows(t) for t in range(1, T + 1)])
+        xb, yb = xs[idx], ys[idx]
 
         def objective(theta):
-            loss, g = _loss_grad(theta, xb, yb)
-            return loss, g
+            m = margins(theta, xb, yb)
+            return loss(m), gradient(m, xb, yb)
 
         res = minimize(objective, np.zeros(3), jac=True, method="L-BFGS-B",
                        bounds=[(-10.0, 10.0)] * 3)
@@ -303,7 +314,9 @@ def run_oco(problem, stepper, h, T, x1=None, record_full=False, record_iterates=
         x = state.x
         g = np.asarray(problem.grad(t, x), dtype=np.float64)
         loss = problem.cost(t, x)
-        if not (np.all(np.isfinite(g)) and math.isfinite(loss)):
+        # one fused test; a sum that merely overflowed is re-checked elementwise
+        if not math.isfinite(loss + g.sum()) and not (
+                np.all(np.isfinite(g)) and math.isfinite(loss)):
             raise NumericFault(f"non-finite cost or gradient at step {t}", step=t)
         losses[t - 1] = loss
         grads[t - 1] = g

@@ -118,6 +118,36 @@ def test_config_missing_file(tmp_path, capsys):
     assert "cannot read config" in err
 
 
+@pytest.mark.parametrize("entry, message", [
+    ({"steps": 2.5}, "steps must be an integer, got 2.5"),
+    ({"steps": "10"}, "steps must be an integer, got '10'"),
+    ({"steps": True}, "steps must be an integer, got True"),
+    ({"record_full": "no"}, "record_full must be true or false, got 'no'"),
+    ({"record_full": 0}, "record_full must be true or false, got 0"),
+    ({"alpha": "0.1"}, "alpha must be a number, got '0.1'"),
+    ({"alpha": False}, "alpha must be a number, got False"),
+    ({"alpha": 10 ** 400}, "alpha must be a number"),
+    ({"optimizer": 3}, "optimizer must be a string, got 3"),
+    ({"seed": -1, "problem": "logistic"}, "seed must be ≥ 0"),
+])
+def test_config_rejects_ill_typed_values(tmp_path, capsys, entry, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(entry))
+    code, out, err = run_cli(["run", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_config_takes_integer_for_float_field(tmp_path, capsys):
+    # a float field takes a JSON integer and reads it as a double
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"steps": 2, "epsilon": 0, "record_full": False}))
+    code, out, err = run_cli(["run", "--config", str(cfg)], capsys)
+    assert code == 0
+    assert GOLDEN_X2 in out and GOLDEN_X3 in out
+
+
 def test_batch_runs_every_entry(tmp_path, capsys):
     out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
     cfg = tmp_path / "batch.json"
@@ -138,6 +168,22 @@ def test_batch_requires_output_paths(tmp_path, capsys):
     code, out, err = run_cli(["run", "--config", str(cfg)], capsys)
     assert code == 2
     assert "output_path" in err
+
+
+def test_batch_rejects_shared_output_path(tmp_path, capsys):
+    target = tmp_path / "same.csv"
+    cfg = tmp_path / "batch.json"
+    cfg.write_text(json.dumps([
+        {"steps": 3, "output_path": str(tmp_path / "other.csv")},
+        {"steps": 3, "output_path": str(target)},
+        {"steps": 4, "optimizer": "adamx", "output_path": str(tmp_path / "." / "same.csv")},
+    ]))
+    code, out, err = run_cli(["run", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert "batch entries 1 and 2 share output_path" in err
+    # rejected before any run starts
+    assert out == ""
+    assert not any(tmp_path.glob("*.csv"))
 
 
 # ---------------------------------------------------------------- verify

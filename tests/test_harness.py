@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
+from scipy.special import expit
 
 from adamxlab import (FeasibleBox, HyperParams, NumericFault, ProblemInstance,
                       Schedule, UnsupportedProblem, average_regret,
                       quadratic_problem, run_oco, synthetic_problem,
                       toy_training_problem)
 from adamxlab.harness import _grid_refine, comparator_oracle
+from adamxlab.numerics import project_box
 
 H_REF = HyperParams(alpha=0.001, beta1=0.9, beta2=0.999, lam=0.001,
                     schedule=Schedule.EXP_DECAY)
@@ -176,6 +179,87 @@ def test_toy_full_objective_scores_whole_dataset():
     assert p.full_objective(trace.final_x) < p.full_objective(np.zeros(3))
 
 
+class ReferenceLogistic:
+    """The logistic oracle drawn afresh on every call: a new (seed, t)
+    generator per minibatch and one fused loss-and-gradient function."""
+
+    def __init__(self, seed, n_points=200, batch_size=16):
+        rng = np.random.default_rng(seed)
+        half = n_points // 2
+        self.xs = np.vstack([rng.normal(-1.0, 1.0, size=(half, 2)),
+                             rng.normal(1.0, 1.0, size=(n_points - half, 2))])
+        self.ys = np.concatenate([-np.ones(half), np.ones(n_points - half)])
+        self.seed, self.n_points, self.batch_size = seed, n_points, batch_size
+
+    def rows(self, t):
+        return np.random.default_rng((self.seed, t)).integers(
+            0, self.n_points, size=self.batch_size)
+
+    @staticmethod
+    def loss_grad(theta, xb, yb):
+        margins = yb * (xb @ theta[:2] + theta[2])
+        loss = float(np.mean(np.logaddexp(0.0, -margins)))
+        coeff = -yb * expit(-margins)
+        gw = coeff @ xb / len(yb)
+        gb = float(np.mean(coeff))
+        return loss, np.array([gw[0], gw[1], gb])
+
+    def cost(self, t, x):
+        idx = self.rows(t)
+        return self.loss_grad(x, self.xs[idx], self.ys[idx])[0]
+
+    def grad(self, t, x):
+        idx = self.rows(t)
+        return self.loss_grad(x, self.xs[idx], self.ys[idx])[1]
+
+    def full_objective(self, theta):
+        return self.loss_grad(theta, self.xs, self.ys)[0]
+
+    def comparator_for(self, T):
+        rows = np.concatenate([self.rows(t) for t in range(1, T + 1)])
+        xb, yb = self.xs[rows], self.ys[rows]
+        res = minimize(lambda theta: self.loss_grad(theta, xb, yb), np.zeros(3),
+                       jac=True, method="L-BFGS-B", bounds=[(-10.0, 10.0)] * 3)
+        return project_box(res.x, FeasibleBox.cube(-10.0, 10.0, 3))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_memoized_logistic_oracle_matches_fresh_draws(seed):
+    ref = ReferenceLogistic(seed)
+    rng = np.random.default_rng(100 + seed)
+    points = [rng.uniform(-3.0, 3.0, size=3) for _ in range(3)] + [np.zeros(3)]
+    # the comparator first, before any minibatch has been drawn
+    p = toy_training_problem(seed)
+    np.testing.assert_array_equal(p.comparator_for(30), ref.comparator_for(30))
+    # then steps in descending and ascending order, past the comparator's horizon
+    p = toy_training_problem(seed)
+    for t in [*range(40, 0, -1), *range(1, 41)]:
+        for x in points:
+            assert p.cost(t, x) == ref.cost(t, x)
+            np.testing.assert_array_equal(p.grad(t, x), ref.grad(t, x))
+    for T in (25, 40, 1):
+        np.testing.assert_array_equal(p.comparator_for(T), ref.comparator_for(T))
+    for x in points:
+        assert p.full_objective(x) == ref.full_objective(x)
+
+
+def test_logistic_run_draws_each_minibatch_once(monkeypatch):
+    made = []
+    default_rng = np.random.default_rng
+
+    def counting(*args, **kwargs):
+        made.append(args)
+        return default_rng(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    T = 60
+    p = toy_training_problem(seed=5)
+    run_oco(p, "adamx", H_REF, T)
+    # the dataset's generator, then one per step; the comparator and the
+    # comparator losses reuse the steps' draws
+    assert made == [(5,)] + [((5, t),) for t in range(1, T + 1)]
+
+
 def test_toy_comparator_beats_grid_probes():
     p = toy_training_problem(seed=0)
     T = 40
@@ -244,6 +328,30 @@ def test_numeric_fault_carries_step():
     with np.errstate(over="ignore"), pytest.raises(NumericFault) as info:
         run_oco(p, "amsgrad", h, 5)
     assert info.value.step == 1
+
+
+def constant_problem(g):
+    box = FeasibleBox.cube(-1.0, 1.0, len(g))
+    return ProblemInstance(d=len(g), cost=lambda t, x: 0.0,
+                           grad=lambda t, x: np.array(g), box=box, g_inf=1.0,
+                           comparator=np.zeros(len(g)), name="constant")
+
+
+def hold(state, g, h, box):
+    return state
+
+
+def test_run_rejects_infinite_gradient():
+    with pytest.raises(NumericFault, match="non-finite cost or gradient at step 1") as info:
+        run_oco(constant_problem([0.5, np.inf]), hold, H_REF, 3)
+    assert info.value.step == 1
+
+
+def test_run_accepts_finite_gradient_whose_sum_overflows():
+    # every coordinate is finite; only the fused sum overflows
+    with np.errstate(over="ignore"):
+        trace = run_oco(constant_problem([1e308, 1e308]), hold, H_REF, 3)
+    np.testing.assert_array_equal(trace.gradient_history, np.full((3, 2), 1e308))
 
 
 def test_regret_is_cumsum_of_loss_gaps():

@@ -25,7 +25,7 @@ from adamxlab import (BoundContext, BoundUndefined, HyperParams, Schedule,
                       check_adamx_vhat_closed_form, check_counterexample,
                       check_decomposition, check_regret_bound, check_sum_lemma,
                       check_telescoping_positivity, check_vhat_bound,
-                      decomposition_terms, find_t0, find_t0_schedule,
+                      alpha_at, decomposition_terms, find_t0, find_t0_schedule,
                       quadratic_problem, reproduce_counterexample, run_oco,
                       run_suite, synthetic_problem)
 from adamxlab.verify import SUITES, example_hyperparams
@@ -439,6 +439,37 @@ def test_decomposition_bounds_regret():
         assert report.status == "pass"
         assert report.lhs == tr.cumulative_regret[-1]
         assert report.rhs == a + b + c
+
+
+def reference_decomposition_terms(trace, h):
+    """decomposition_terms with the step sizes built by alpha_at per t."""
+    T = trace.T
+    sq = (trace.iterates - trace.comparator) ** 2
+    alphas = np.array([alpha_at(t, h) for t in range(1, T + 1)])
+    b1s = beta1_sequence(h, T)
+    sv = np.sqrt(trace.vhat_history)
+    coeff_a = sv / (2.0 * alphas[:, None] * (1.0 - b1s)[:, None])
+    term_a = float(np.sum(coeff_a * (sq[:-1] - sq[1:])))
+    ratio = np.zeros_like(sv)
+    np.divide(trace.m_history ** 2, sv, out=ratio, where=sv > 0.0)
+    term_b = float(np.sum(alphas[:, None] / (1.0 - h.beta1) * ratio))
+    coeff_c = (b1s[1:, None] * sv[:-1]
+               / (2.0 * alphas[:-1, None] * (1.0 - h.beta1)))
+    term_c = float(np.sum(coeff_c * sq[1:-1]))
+    return term_a, term_b, term_c
+
+
+def test_vectorized_step_sizes_equal_alpha_at():
+    # alpha / sqrt(t) over an array is bitwise the scalar alpha_at at the
+    # decay horizon, so decomposition_terms may build its step sizes at once
+    ts = np.arange(1, 50_501, dtype=np.float64)
+    for alpha in (0.001, 0.1, 1.0 / 3.0, 7.0):
+        h = replace(H_EXP, alpha=alpha)
+        np.testing.assert_array_equal(
+            h.alpha / np.sqrt(ts), np.array([alpha_at(int(t), h) for t in ts]))
+    for h in (H_EXP, H_INV, replace(H_EXP, alpha_constant=True)):
+        tr = run_oco(quadratic_problem(3, 2), "adamx", h, 300, record_full=True)
+        assert decomposition_terms(tr, h) == reference_decomposition_terms(tr, h)
 
 
 def test_report_serialization():
