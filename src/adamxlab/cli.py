@@ -1,7 +1,8 @@
 """Command-line front end: run experiments, verify guarantees, plot traces.
 
 Exit codes: 0 success, 1 a verification check failed, 2 usage or
-configuration error, 3 numeric fault during a run.
+configuration error or an output file that cannot be written, 3 numeric
+fault during a run.
 
 ``run`` writes one CSV row per step with the post-update iterate, so
 row t carries x_{t+1}; floats are serialized with repr, the shortest
@@ -18,6 +19,8 @@ import sys
 from dataclasses import dataclass, fields
 from typing import Optional
 from xml.sax.saxutils import escape
+
+import numpy as np
 
 from .errors import BoundUndefined, NumericFault
 from .harness import (average_regret, quadratic_problem, run_oco,
@@ -130,17 +133,34 @@ def _fmt(value):
     return repr(float(value))
 
 
+_CSV_CHUNK_ROWS = 4096
+
+
 def _write_trace_csv(stream, trace):
-    writer = csv.writer(stream, lineterminator="\n")
     d = trace.iterates.shape[1]
-    writer.writerow(["t", "f_xt", "f_xstar", "regret", "avg_regret"]
-                    + [f"x_{i}" for i in range(d)])
-    avg = average_regret(trace)
-    for t in range(1, trace.T + 1):
-        row = [str(t), _fmt(trace.losses[t - 1]), _fmt(trace.comparator_losses[t - 1]),
-               _fmt(trace.cumulative_regret[t - 1]), _fmt(avg[t - 1])]
-        row.extend(_fmt(v) for v in trace.iterates[t])
-        writer.writerow(row)
+    stream.write(",".join(["t", "f_xt", "f_xstar", "regret", "avg_regret"]
+                          + [f"x_{i}" for i in range(d)]) + "\n")
+    columns = np.column_stack([trace.losses, trace.comparator_losses,
+                               trace.cumulative_regret, average_regret(trace),
+                               trace.iterates[1:]])
+    # tolist() yields Python floats, whose repr is _fmt; the chunks bound
+    # the memory the row strings take on long runs
+    for start in range(0, trace.T, _CSV_CHUNK_ROWS):
+        rows = columns[start:start + _CSV_CHUNK_ROWS].tolist()
+        stream.write("".join(f"{t},{','.join(map(repr, row))}\n"
+                             for t, row in enumerate(rows, start + 1)))
+
+
+def _write_file(path, write):
+    """Open ``path`` for writing and call ``write(f)``. A path that cannot be
+    written is reported on stderr in one line; returns whether it was written."""
+    try:
+        with open(path, "w", newline="") as f:
+            write(f)
+    except OSError as err:
+        print(f"cannot write {path}: {err.strerror or err}", file=sys.stderr)
+        return False
+    return True
 
 
 def _stdout(write, *args):
@@ -216,8 +236,9 @@ def cmd_run(args):
                 print(message, file=sys.stderr)
                 status = code
                 continue
-            with open(config.output_path, "w", newline="") as f:
-                _write_trace_csv(f, trace)
+            if not _write_file(config.output_path, lambda f: _write_trace_csv(f, trace)):
+                status = EXIT_USAGE
+                continue
             _stdout(print, message)
         return status
 
@@ -227,8 +248,8 @@ def cmd_run(args):
         print(message, file=sys.stderr)
         return code
     if config.output_path:
-        with open(config.output_path, "w", newline="") as f:
-            _write_trace_csv(f, trace)
+        if not _write_file(config.output_path, lambda f: _write_trace_csv(f, trace)):
+            return EXIT_USAGE
         _stdout(print, message)
     else:
         _stdout(_write_trace_csv, sys.stdout, trace)
@@ -265,8 +286,8 @@ def cmd_verify(args):
     }
     text = json.dumps(payload, indent=2)
     if args.output:
-        with open(args.output, "w") as f:
-            f.write(text + "\n")
+        if not _write_file(args.output, lambda f: f.write(text + "\n")):
+            return EXIT_USAGE
     else:
         _stdout(print, text)
     return EXIT_OK if all_pass else EXIT_CHECK_FAILED
@@ -377,8 +398,8 @@ def cmd_plot(args):
             return EXIT_USAGE
         series.append((ts, ys, os.path.basename(path)))
     svg = _svg_chart(series, args.column)
-    with open(args.output, "w") as f:
-        f.write(svg)
+    if not _write_file(args.output, lambda f: f.write(svg)):
+        return EXIT_USAGE
     _stdout(print, f"wrote {args.output}")
     return EXIT_OK
 

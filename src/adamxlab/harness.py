@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import expit
 
 from .errors import NumericFault, UnsupportedProblem
 from .numerics import FeasibleBox, as_vector, project_box
@@ -143,7 +141,9 @@ def toy_training_problem(seed=0, n_points=200, batch_size=16):
     the comparator share the draw and see the same rows in any access
     order. Gradients are analytic. The per-sample gradient magnitude
     never exceeds the largest feature magnitude (the sigmoid factor is
-    below 1), which gives g_inf from the data alone.
+    below 1), which gives g_inf from the data alone. scipy is imported
+    only when a gradient or a comparator is first computed, so building
+    the problem, or any other problem, does not load it.
     """
     rng = np.random.default_rng(seed)
     half = n_points // 2
@@ -166,13 +166,16 @@ def toy_training_problem(seed=0, n_points=200, batch_size=16):
     def margins(theta, xb, yb):
         return yb * (xb @ theta[:2] + theta[2])
 
+    # sum / len is the arithmetic np.mean does, bitwise, without its overhead
     def loss(m):
-        return float(np.mean(np.logaddexp(0.0, -m)))
+        terms = np.logaddexp(0.0, -m)
+        return float(terms.sum() / len(terms))
 
     def gradient(m, xb, yb):
+        from scipy.special import expit
         coeff = -yb * expit(-m)
         gw = coeff @ xb / len(yb)
-        gb = float(np.mean(coeff))
+        gb = float(coeff.sum() / len(coeff))
         return np.array([gw[0], gw[1], gb])
 
     def cost(t, x):
@@ -193,6 +196,7 @@ def toy_training_problem(seed=0, n_points=200, batch_size=16):
         got = comparators.get(T)
         if got is not None:
             return got.copy()
+        from scipy.optimize import minimize
         idx = np.concatenate([rows(t) for t in range(1, T + 1)])
         xb, yb = xs[idx], ys[idx]
 

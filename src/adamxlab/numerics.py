@@ -86,12 +86,6 @@ def project_box(y, box):
     return np.minimum(np.maximum(y, box.lower), box.upper)
 
 
-def linf_norm(v):
-    """Largest absolute coordinate."""
-    v = as_vector(v)
-    return float(np.max(np.abs(v)))
-
-
 def l2_norm_columns(history, i):
     """Euclidean norm of coordinate ``i`` across a gradient history.
 

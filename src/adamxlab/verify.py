@@ -202,20 +202,6 @@ def find_t0(schedule, h, vhat_history, T):
     return int(fails[-1]) + 2 if fails.size else 1
 
 
-def find_t0_schedule(schedule, h, T):
-    """Trajectory-free variant: scans the schedule-only sufficient condition
-    (1 - beta_{1,t-1})/(1 - beta_{1,t}) >= sqrt(1 - 1/t), which forces the
-    trajectory condition whenever vhat is nondecreasing."""
-    if schedule is not None and Schedule(schedule) != h.schedule:
-        h = replace(h, schedule=Schedule(schedule))
-    last_fail = 1
-    for t in range(2, T + 1):
-        ratio = (1.0 - beta1_at(t - 1, h)) / (1.0 - beta1_at(t, h))
-        if ratio < math.sqrt(1.0 - 1.0 / t):
-            last_fail = t
-    return last_fail
-
-
 @dataclass
 class BoundContext:
     """Constants a regret bound consumes, extracted from one finished run."""

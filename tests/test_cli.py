@@ -1,13 +1,18 @@
 """Command-line surface: run, verify, plot, exit codes, and determinism."""
 
+import csv
+import io
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from adamxlab.cli import main
+from adamxlab import (HyperParams, average_regret, quadratic_problem, run_oco,
+                      synthetic_problem)
+from adamxlab.cli import _CSV_CHUNK_ROWS, ExperimentConfig, _write_trace_csv, main
 
 GOLDEN_X2 = "0.9968377223398316"
 GOLDEN_X3 = "0.9970569034941291"
@@ -362,3 +367,161 @@ def test_closed_stdout_keeps_exit_code(argv, read_lines, code):
     err = proc.stderr.read()
     assert proc.wait(timeout=120) == code
     assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
+# ------------------------------------------------------ trace CSV writer
+
+def reference_write_trace_csv(stream, trace):
+    """The cell-by-cell csv.writer serializer, kept as the byte reference
+    for the column-wise writer."""
+    writer = csv.writer(stream, lineterminator="\n")
+    d = trace.iterates.shape[1]
+    writer.writerow(["t", "f_xt", "f_xstar", "regret", "avg_regret"]
+                    + [f"x_{i}" for i in range(d)])
+    avg = average_regret(trace)
+    for t in range(1, trace.T + 1):
+        row = [str(t), repr(float(trace.losses[t - 1])),
+               repr(float(trace.comparator_losses[t - 1])),
+               repr(float(trace.cumulative_regret[t - 1])), repr(float(avg[t - 1]))]
+        row.extend(repr(float(v)) for v in trace.iterates[t])
+        writer.writerow(row)
+
+
+def synthetic_trace(T):
+    return run_oco(synthetic_problem(), "adamx", HyperParams(alpha=4.0, beta1=0.5), T,
+                   record_iterates=True)
+
+
+def signed_zero_trace():
+    # -0.0, a subnormal, exponents repr writes as 1e+16, and an exact integer
+    trace = run_oco(quadratic_problem(3, 2), "amsgrad", HyperParams(), 4,
+                    record_iterates=True)
+    iterates = trace.iterates.copy()
+    iterates[1:, 0] = [-0.0, 5e-324, 1e16, -1.5e-7]
+    return replace(trace, losses=np.array([-0.0, 0.0, 1e22, 3.0]),
+                   comparator_losses=np.array([0.0, -0.0, 2.5, -1e-300]),
+                   iterates=iterates)
+
+
+@pytest.mark.parametrize("make_trace", [
+    lambda: synthetic_trace(2 * _CSV_CHUNK_ROWS + 123),
+    lambda: synthetic_trace(_CSV_CHUNK_ROWS),
+    lambda: synthetic_trace(1),
+    lambda: run_oco(quadratic_problem(11, 5), "adamx", HyperParams(), 700,
+                    record_iterates=True),
+    signed_zero_trace,
+], ids=["several-chunks", "one-full-chunk", "T1", "quadratic-d5", "signed-zero"])
+def test_csv_writer_matches_reference_bytes(tmp_path, make_trace):
+    trace = make_trace()
+    expected = io.StringIO()
+    reference_write_trace_csv(expected, trace)
+    target = tmp_path / "trace.csv"
+    with open(target, "w", newline="") as f:
+        _write_trace_csv(f, trace)
+    assert target.read_bytes() == expected.getvalue().encode()
+    if make_trace is signed_zero_trace:
+        assert "\n1,-0.0,0.0," in expected.getvalue()
+
+
+@pytest.mark.parametrize("output", [False, True])
+def test_run_trace_matches_reference_bytes(tmp_path, capsys, output):
+    # through the command, on stdout and into a file
+    argv = ["run", "--problem", "quadratic", "--dim", "3", "--seed", "4", "--steps", "60"]
+    target = tmp_path / "trace.csv"
+    code, out, err = run_cli(argv + (["--output", str(target)] if output else []), capsys)
+    assert code == 0
+    config = ExperimentConfig(problem="quadratic", dim=3, seed=4, steps=60)
+    trace = run_oco(config.problem_instance(), config.optimizer, config.hyperparams(), 60,
+                    record_iterates=True)
+    expected = io.StringIO()
+    reference_write_trace_csv(expected, trace)
+    written = target.read_text() if output else out
+    assert written == expected.getvalue()
+
+
+# ------------------------------------------------------ unwritable output
+
+def test_run_unwritable_output_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = run_cli(["run", "--steps", "3", "--output", str(target)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.strip() == f"cannot write {target}: No such file or directory"
+
+
+def test_batch_unwritable_entry_fails_alone(tmp_path, capsys):
+    good_a, good_b = tmp_path / "a.csv", tmp_path / "b.csv"
+    bad = tmp_path / "missing" / "x.csv"
+    cfg = tmp_path / "batch.json"
+    cfg.write_text(json.dumps([
+        {"steps": 3, "output_path": str(good_a)},
+        {"steps": 3, "output_path": str(bad)},
+        {"steps": 3, "optimizer": "adamx", "output_path": str(good_b)},
+    ]))
+    code, out, err = run_cli(["run", "--config", str(cfg)], capsys)
+    assert code == 2
+    # the entries on either side still ran and wrote their traces
+    assert len(out.strip().splitlines()) == 2
+    assert good_a.exists() and good_b.exists()
+    assert err.strip() == f"cannot write {bad}: No such file or directory"
+
+
+def test_verify_unwritable_output_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "r.json"
+    code, out, err = run_cli(["verify", "counterexample", "--output", str(target)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.strip() == f"cannot write {target}: No such file or directory"
+
+
+def test_plot_unwritable_output_exits_2(tmp_path, capsys):
+    trace = make_trace(tmp_path, capsys, "run.csv")
+    target = tmp_path / "missing" / "p.svg"
+    code, out, err = run_cli(["plot", str(trace), "--output", str(target)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.strip() == f"cannot write {target}: No such file or directory"
+
+
+# ------------------------------------------------------------- start-up
+
+SCIPY_PROBE = """
+import json, sys
+import adamxlab, adamxlab.cli
+from adamxlab import (HyperParams, quadratic_problem, run_oco, synthetic_problem,
+                      toy_training_problem)
+
+def solvers():
+    return sorted(m for m in sys.modules
+                  if m.split(".")[:2] in (["scipy", "optimize"], ["scipy", "special"]))
+
+def cli(*argv):
+    try:
+        adamxlab.cli.main(list(argv))
+    except SystemExit as exc:
+        assert exc.code in (0, None), (argv, exc.code)
+
+csv_path, svg_path, report_path = sys.argv[1:]
+h = HyperParams()
+toy = toy_training_problem(0)
+run_oco(synthetic_problem(), "amsgrad", h, 20)
+run_oco(quadratic_problem(0, 3), "adamx", h, 20)
+cli("verify", "counterexample", "--output", report_path)
+cli("run", "--steps", "20", "--output", csv_path)
+cli("plot", csv_path, "--output", svg_path)
+before = solvers()
+trace = run_oco(toy, "adamx", h, 20)
+print(json.dumps({"before": before, "after": solvers(), "R": float(trace.cumulative_regret[-1])}))
+"""
+
+
+def test_scipy_loads_only_for_the_logistic_problem(tmp_path):
+    paths = [str(tmp_path / name) for name in ("t.csv", "p.svg", "r.json")]
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE] + paths,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["before"] == []
+    # the logistic gradient and comparator still find their solvers
+    assert "scipy.optimize" in result["after"] and "scipy.special" in result["after"]
+    assert np.isfinite(result["R"])

