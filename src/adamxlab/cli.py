@@ -151,6 +151,10 @@ def _write_trace_csv(stream, trace):
                              for t, row in enumerate(rows, start + 1)))
 
 
+def _cannot_write(path, err):
+    print(f"cannot write {path}: {err.strerror or err}", file=sys.stderr)
+
+
 def _write_file(path, write):
     """Open ``path`` for writing and call ``write(f)``. A path that cannot be
     written is reported on stderr in one line; returns whether it was written."""
@@ -158,8 +162,25 @@ def _write_file(path, write):
         with open(path, "w", newline="") as f:
             write(f)
     except OSError as err:
-        print(f"cannot write {path}: {err.strerror or err}", file=sys.stderr)
+        _cannot_write(path, err)
         return False
+    return True
+
+
+def _writable(path):
+    """Whether ``path`` can be opened for writing, probed before a run so that
+    an unwritable path fails at once, reported as ``_write_file`` does. Append
+    mode leaves an existing file as it is, and a file the probe creates is
+    removed again, so a run that then faults leaves nothing behind."""
+    existed = os.path.lexists(path)
+    try:
+        with open(path, "a"):
+            pass
+    except OSError as err:
+        _cannot_write(path, err)
+        return False
+    if not existed:
+        os.remove(path)
     return True
 
 
@@ -231,6 +252,9 @@ def cmd_run(args):
                 return EXIT_USAGE
         status = EXIT_OK
         for config in configs:
+            if not _writable(config.output_path):
+                status = EXIT_USAGE
+                continue
             code, message, trace = _execute_run(config)
             if code != EXIT_OK:
                 print(message, file=sys.stderr)
@@ -243,6 +267,8 @@ def cmd_run(args):
         return status
 
     config = configs[0]
+    if config.output_path and not _writable(config.output_path):
+        return EXIT_USAGE
     code, message, trace = _execute_run(config)
     if code != EXIT_OK:
         print(message, file=sys.stderr)

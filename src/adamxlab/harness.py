@@ -7,10 +7,13 @@ against the best fixed point of the summed objective, obtained from
 ``comparator_oracle``.
 
 Everything is deterministic. Random quantities (quadratic centers,
-minibatch draws) come from generators keyed by (seed, t). Each draw is
-made once per problem and memoized, and it yields the same values in any
-access order, so any f_t can be evaluated at random access and identical
-configurations produce bit-identical traces.
+minibatch draws) are the values of generators keyed by (seed, t),
+``np.random.default_rng((seed, t))``. They are computed by
+``keyed.KeyedTable`` for a block of 4096 consecutive t at a time, bitwise
+equal to one generator per t, when a t in the block is first asked for,
+and kept for the life of the problem. A value depends on its key alone,
+not on the access order, so any f_t can be evaluated at random access and
+identical configurations produce bit-identical traces.
 """
 
 import math
@@ -19,6 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import keyed
 from .errors import NumericFault, UnsupportedProblem
 from .numerics import FeasibleBox, as_vector, project_box
 from .optimizers import fresh_state, resolve_stepper
@@ -83,7 +87,9 @@ def quadratic_problem(seed, d, box=None, fixed_center=None):
     coordinate never exceeds the box diameter, which therefore serves as
     g_inf. The best fixed point for a horizon T is the mean of the first
     T centers clamped into the box. ``fixed_center`` freezes every c_t
-    to one given point.
+    to one given point. Otherwise c_t is lower + r * (upper - lower) with
+    r = default_rng((seed, t)).random(d), filled 4096 t at a time on first
+    demand (see ``keyed``), so it is the same in any access order.
     """
     if d < 1:
         raise ValueError("dimension must be >= 1")
@@ -95,21 +101,12 @@ def quadratic_problem(seed, d, box=None, fixed_center=None):
         fixed_center = as_vector(fixed_center, dim=d)
         if not box.contains(fixed_center):
             raise ValueError("fixed center must lie in the box")
-
-    width = box.upper - box.lower
-    centers = {}
-    prefix_sums = [np.zeros(d)]
-
-    def center(t):
-        c = centers.get(t)
-        if c is None:
-            if fixed_center is not None:
-                c = fixed_center.copy()
-            else:
-                r = np.random.default_rng((seed, t)).random(d)
-                c = box.lower + r * width
-            centers[t] = c
-        return c
+        centers = keyed.KeyedTable(lambda ts: np.tile(fixed_center, (len(ts), 1)))
+    else:
+        width = box.upper - box.lower
+        centers = keyed.KeyedTable(
+            lambda ts: box.lower + keyed.uniform(seed, ts, d) * width)
+    center = centers.row
 
     def cost(t, x):
         diff = x - center(t)
@@ -119,10 +116,9 @@ def quadratic_problem(seed, d, box=None, fixed_center=None):
         return x - center(t)
 
     def comparator_for(T):
-        while len(prefix_sums) <= T:
-            s = len(prefix_sums)
-            prefix_sums.append(prefix_sums[s - 1] + center(s))
-        return project_box(prefix_sums[T] / T, box)
+        # 0 + c_1 + ... + c_T added left to right: cumsum accumulates in order
+        total = np.cumsum(np.vstack((np.zeros(d), centers.rows(1, T + 1))), axis=0)[T]
+        return project_box(total / T, box)
 
     return ProblemInstance(
         d=d, cost=cost, grad=grad, box=box, g_inf=box.diameter,
@@ -136,10 +132,11 @@ def toy_training_problem(seed=0, n_points=200, batch_size=16):
 
     Parameters are (w1, w2, b) in the box [-10, 10]^3. f_t is the mean
     logistic loss of a minibatch drawn by a generator keyed on (seed, t),
-    so paired optimizer runs face the identical cost sequence. Each
-    minibatch is drawn once per problem and memoized, so cost, grad and
-    the comparator share the draw and see the same rows in any access
-    order. Gradients are analytic. The per-sample gradient magnitude
+    so paired optimizer runs face the identical cost sequence. The
+    minibatch indices are filled 4096 t at a time on first demand (see
+    ``keyed``) and kept per problem, so cost, grad and the comparator
+    share each draw and see the same rows in any access order.
+    Gradients are analytic. The per-sample gradient magnitude
     never exceeds the largest feature magnitude (the sigmoid factor is
     below 1), which gives g_inf from the data alone. scipy is imported
     only when a gradient or a comparator is first computed, so building
@@ -154,14 +151,8 @@ def toy_training_problem(seed=0, n_points=200, batch_size=16):
     ys = np.concatenate([-np.ones(half), np.ones(n_points - half)])
     box = FeasibleBox.cube(-10.0, 10.0, 3)
     g_inf = max(1.0, float(np.max(np.abs(xs))))
-    indices = {}
-
-    def rows(t):
-        idx = indices.get(t)
-        if idx is None:
-            idx = np.random.default_rng((seed, t)).integers(0, n_points, size=batch_size)
-            indices[t] = idx
-        return idx
+    indices = keyed.KeyedTable(lambda ts: keyed.integers(seed, ts, n_points, batch_size))
+    rows = indices.row
 
     def margins(theta, xb, yb):
         return yb * (xb @ theta[:2] + theta[2])
@@ -197,7 +188,7 @@ def toy_training_problem(seed=0, n_points=200, batch_size=16):
         if got is not None:
             return got.copy()
         from scipy.optimize import minimize
-        idx = np.concatenate([rows(t) for t in range(1, T + 1)])
+        idx = indices.rows(1, T + 1).reshape(-1)
         xb, yb = xs[idx], ys[idx]
 
         def objective(theta):

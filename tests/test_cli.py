@@ -441,15 +441,31 @@ def test_run_trace_matches_reference_bytes(tmp_path, capsys, output):
 
 # ------------------------------------------------------ unwritable output
 
-def test_run_unwritable_output_exits_2(tmp_path, capsys):
+def counting_run_oco(monkeypatch):
+    from adamxlab import cli
+    calls = []
+
+    def counting(problem, *args, **kwargs):
+        calls.append(problem.name)
+        return run_oco(problem, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_oco", counting)
+    return calls
+
+
+def test_run_unwritable_output_exits_2(tmp_path, capsys, monkeypatch):
+    calls = counting_run_oco(monkeypatch)
     target = tmp_path / "missing" / "x.csv"
-    code, out, err = run_cli(["run", "--steps", "3", "--output", str(target)], capsys)
+    code, out, err = run_cli(["run", "--steps", "50500", "--output", str(target)], capsys)
     assert code == 2
+    # the path is probed before the run, so the run never starts
+    assert calls == []
     assert out == ""
     assert err.strip() == f"cannot write {target}: No such file or directory"
 
 
-def test_batch_unwritable_entry_fails_alone(tmp_path, capsys):
+def test_batch_unwritable_entry_fails_alone(tmp_path, capsys, monkeypatch):
+    calls = counting_run_oco(monkeypatch)
     good_a, good_b = tmp_path / "a.csv", tmp_path / "b.csv"
     bad = tmp_path / "missing" / "x.csv"
     cfg = tmp_path / "batch.json"
@@ -460,10 +476,24 @@ def test_batch_unwritable_entry_fails_alone(tmp_path, capsys):
     ]))
     code, out, err = run_cli(["run", "--config", str(cfg)], capsys)
     assert code == 2
-    # the entries on either side still ran and wrote their traces
+    # the bad entry never ran; the entries on either side ran and wrote their traces
+    assert calls == ["synthetic", "synthetic"]
     assert len(out.strip().splitlines()) == 2
     assert good_a.exists() and good_b.exists()
     assert err.strip() == f"cannot write {bad}: No such file or directory"
+
+
+def test_output_probe_keeps_files_when_the_run_faults(tmp_path, capsys):
+    existing, fresh = tmp_path / "old.csv", tmp_path / "new.csv"
+    existing.write_text("kept\n")
+    for target in (existing, fresh):
+        with np.errstate(over="ignore"):
+            code, out, err = run_cli(["run", "--alpha", "1e308", "--steps", "5",
+                                      "--output", str(target)], capsys)
+        assert code == 3
+    # the existing file is not truncated and no empty file is left behind
+    assert existing.read_text() == "kept\n"
+    assert not fresh.exists()
 
 
 def test_verify_unwritable_output_exits_2(tmp_path, capsys):

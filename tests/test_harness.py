@@ -8,7 +8,7 @@ from scipy.special import expit
 from adamxlab import (FeasibleBox, HyperParams, NumericFault, ProblemInstance,
                       Schedule, UnsupportedProblem, average_regret,
                       quadratic_problem, run_oco, synthetic_problem,
-                      toy_training_problem)
+                      keyed, toy_training_problem)
 from adamxlab.harness import _grid_refine, comparator_oracle
 from adamxlab.numerics import project_box
 
@@ -131,6 +131,84 @@ def test_quadratic_deterministic_in_seed():
     assert not np.array_equal(a.grad(1, x), c.grad(1, x))
 
 
+class ReferenceQuadratic:
+    """The quadratic problem with one (seed, t) generator per centre and the
+    prefix sums added one centre at a time."""
+
+    def __init__(self, seed, d):
+        self.seed, self.d = seed, d
+        self.box = FeasibleBox.cube(-1.0, 1.0, d)
+        self.prefix = [np.zeros(d)]
+
+    def center(self, t):
+        r = np.random.default_rng((self.seed, t)).random(self.d)
+        return self.box.lower + r * (self.box.upper - self.box.lower)
+
+    def cost(self, t, x):
+        diff = x - self.center(t)
+        return float(0.5 * np.dot(diff, diff))
+
+    def grad(self, t, x):
+        return x - self.center(t)
+
+    def comparator_for(self, T):
+        while len(self.prefix) <= T:
+            s = len(self.prefix)
+            self.prefix.append(self.prefix[s - 1] + self.center(s))
+        return project_box(self.prefix[T] / T, self.box)
+
+
+BLOCK_EDGES = (1, 2, keyed.BLOCK - 1, keyed.BLOCK, keyed.BLOCK + 1, 5000)
+
+
+@pytest.mark.parametrize("d", [1, 5])
+def test_quadratic_matches_one_generator_per_centre(d):
+    ref = ReferenceQuadratic(7, d)
+    p = quadratic_problem(7, d)
+    # cumsum prefix sums against the loop, across the block edge
+    for T in (4095, 4096, 4097, 5000):
+        np.testing.assert_array_equal(p.comparator_for(T), ref.comparator_for(T))
+    # the longest horizon first on a fresh problem, then shorter ones
+    p = quadratic_problem(7, d)
+    for T in (5000, 4097, 4096, 1):
+        np.testing.assert_array_equal(p.comparator_for(T), ref.comparator_for(T))
+    x = np.linspace(-0.9, 0.7, d)
+    for t in BLOCK_EDGES:
+        assert p.cost(t, x) == ref.cost(t, x)
+        np.testing.assert_array_equal(p.grad(t, x), ref.grad(t, x))
+
+
+@pytest.mark.parametrize("make", [lambda: quadratic_problem(11, 3),
+                                  lambda: toy_training_problem(11)],
+                         ids=["quadratic", "logistic"])
+def test_draws_do_not_depend_on_access_order(make):
+    ts = range(1, 2 * keyed.BLOCK + 10)
+    fresh = make()
+    x = np.full(fresh.d, 0.3)
+    expected = [None] + [fresh.grad(t, x) for t in ts]
+    p = make()
+    for t in [*reversed(ts), *ts]:
+        assert np.array_equal(p.grad(t, x), expected[t]), t
+
+
+def test_failed_self_check_keeps_every_value(monkeypatch):
+    # a numpy whose stream the array path does not reproduce: every draw
+    # comes from the scalar generator and every value stays the same
+    monkeypatch.setattr(keyed, "matches_numpy", lambda: False)
+    p, ref = quadratic_problem(7, 5), ReferenceQuadratic(7, 5)
+    x = np.linspace(-0.9, 0.7, 5)
+    for t in BLOCK_EDGES:
+        assert p.cost(t, x) == ref.cost(t, x)
+        np.testing.assert_array_equal(p.grad(t, x), ref.grad(t, x))
+    np.testing.assert_array_equal(p.comparator_for(4097), ref.comparator_for(4097))
+    p, ref = toy_training_problem(2), ReferenceLogistic(2)
+    x = np.array([0.4, -1.2, 0.3])
+    for t in (1, 2, 30, keyed.BLOCK - 1):
+        assert p.cost(t, x) == ref.cost(t, x)
+        np.testing.assert_array_equal(p.grad(t, x), ref.grad(t, x))
+    np.testing.assert_array_equal(p.comparator_for(30), ref.comparator_for(30))
+
+
 def test_gradient_bound_is_honest():
     for p in (synthetic_problem(), quadratic_problem(3, 5)):
         trace = run_oco(p, "amsgrad", H_REF, 500, record_full=True)
@@ -244,20 +322,33 @@ def test_memoized_logistic_oracle_matches_fresh_draws(seed):
 
 
 def test_logistic_run_draws_each_minibatch_once(monkeypatch):
-    made = []
-    default_rng = np.random.default_rng
+    keyed.matches_numpy()  # the self-check's own keys, drawn once per process
+    made, fills = [], []
+    default_rng, integers = np.random.default_rng, keyed.integers
 
-    def counting(*args, **kwargs):
+    def counting_rng(*args, **kwargs):
         made.append(args)
         return default_rng(*args, **kwargs)
 
-    monkeypatch.setattr(np.random, "default_rng", counting)
+    def counting_fill(seed, ts, n, k):
+        fills.append((int(ts[0]), len(ts)))
+        return integers(seed, ts, n, k)
+
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    monkeypatch.setattr(keyed, "integers", counting_fill)
     T = 60
     p = toy_training_problem(seed=5)
     run_oco(p, "adamx", H_REF, T)
-    # the dataset's generator, then one per step; the comparator and the
-    # comparator losses reuse the steps' draws
-    assert made == [(5,)] + [((5, t),) for t in range(1, T + 1)]
+    # the dataset's generator and no per-step one: the steps, the comparator
+    # and the comparator losses all read one block of minibatches, filled once
+    assert made == [(5,)]
+    assert fills == [(0, keyed.BLOCK)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_logistic_comparator_across_the_block_edge(seed):
+    np.testing.assert_array_equal(toy_training_problem(seed).comparator_for(keyed.BLOCK + 1),
+                                  ReferenceLogistic(seed).comparator_for(keyed.BLOCK + 1))
 
 
 def test_toy_comparator_beats_grid_probes():
