@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass, fields
 from typing import Optional
 from xml.sax.saxutils import escape
@@ -325,31 +326,53 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",
 
 
 def _read_series(path, column):
-    """Parse (t, column) pairs from a trace CSV; errors name the line."""
+    """Parse (t, column) pairs from a trace CSV; errors name the line.
+
+    ``np.loadtxt`` parses a well-formed trace in one pass, bitwise equal
+    to ``float`` per cell. Only a file it rejects, or one with a non-finite
+    t or plotted value, is scanned row by row to find the line to name.
+    """
+    with open(path, newline="") as f:
+        header = next(csv.reader(f), None)
+    if header is None:
+        raise ValueError(f"{path}: empty file")
+    if "t" not in header or column not in header:
+        raise ValueError(f"{path}: line 1: header must contain 't' and {column!r}")
+    cols = [header.index("t"), header.index(column)]
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a header-only file
+            table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, comments=None)
+    except ValueError:
+        table = None
+    if (table is None or table.shape[1] != len(header)
+            or not np.isfinite(table[:, cols]).all()):
+        table = _scan_rows(path, len(header), cols)
+    if not len(table):
+        raise ValueError(f"{path}: no data rows")
+    return table[:, cols[0]].tolist(), table[:, cols[1]].tolist()
+
+
+def _scan_rows(path, width, cols):
+    """The trace as a float table, read row by row; raises naming the
+    first malformed row or non-finite t or plotted value."""
+    rows = []
     with open(path, newline="") as f:
         reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        if "t" not in header or column not in header:
-            raise ValueError(f"{path}: line 1: header must contain 't' and {column!r}")
-        t_idx, c_idx = header.index("t"), header.index(column)
-        ts, ys = [], []
+        next(reader)
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             try:
                 values = [float(cell) for cell in row]
-                if len(row) != len(header):
+                if len(row) != width:
                     raise ValueError
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: malformed row") from None
-            ts.append(values[t_idx])
-            ys.append(values[c_idx])
-    if not ts:
-        raise ValueError(f"{path}: no data rows")
-    return ts, ys
+            if not all(math.isfinite(values[i]) for i in cols):
+                raise ValueError(f"{path}: line {lineno}: non-finite value")
+            rows.append(values)
+    return np.array(rows, dtype=np.float64).reshape(-1, width)
 
 
 def _svg_chart(series, column):

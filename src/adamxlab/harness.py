@@ -38,7 +38,10 @@ class ProblemInstance:
     split per coordinate, which the grid-refinement comparator needs
     for d > 1. ``x1`` overrides the default starting iterate (the box
     center). ``full_objective``, when present, scores a point against
-    the whole dataset behind the cost sequence.
+    the whole dataset behind the cost sequence. ``costs``, when present,
+    maps (T, x) to the array f_1(x), ..., f_T(x) in one vectorized pass,
+    bitwise equal to calling ``cost`` once per t; ``run_oco`` scores the
+    comparator with it and falls back to the per-t loop without it.
     """
 
     d: int
@@ -52,6 +55,7 @@ class ProblemInstance:
     x1: Optional[np.ndarray] = None
     name: str = ""
     full_objective: Optional[Callable[[np.ndarray], float]] = None
+    costs: Optional[Callable[[int, np.ndarray], np.ndarray]] = None
 
 
 def synthetic_problem():
@@ -73,10 +77,14 @@ def synthetic_problem():
     def grad(t, x):
         return np.array([slope(t)])
 
+    def costs(T, x):
+        ts = np.arange(1, T + 1)
+        return np.where(ts % 101 == 1, 1010.0, -10.0) * x[0]
+
     return ProblemInstance(
         d=1, cost=cost, grad=grad, box=box, g_inf=1010.0,
         comparator=np.array([-1.0]), separable=True,
-        x1=np.array([1.0]), name="synthetic",
+        x1=np.array([1.0]), name="synthetic", costs=costs,
     )
 
 
@@ -115,6 +123,11 @@ def quadratic_problem(seed, d, box=None, fixed_center=None):
     def grad(t, x):
         return x - center(t)
 
+    # vecdot reproduces np.dot row by row; (D * D).sum(1) and einsum do not
+    def costs(T, x):
+        diff = x - centers.rows(1, T + 1)
+        return 0.5 * np.vecdot(diff, diff)
+
     def comparator_for(T):
         # 0 + c_1 + ... + c_T added left to right: cumsum accumulates in order
         total = np.cumsum(np.vstack((np.zeros(d), centers.rows(1, T + 1))), axis=0)[T]
@@ -123,7 +136,7 @@ def quadratic_problem(seed, d, box=None, fixed_center=None):
     return ProblemInstance(
         d=d, cost=cost, grad=grad, box=box, g_inf=box.diameter,
         comparator_for=comparator_for, separable=True,
-        name=f"quadratic(seed={seed},d={d})",
+        name=f"quadratic(seed={seed},d={d})", costs=costs,
     )
 
 
@@ -178,6 +191,12 @@ def toy_training_problem(seed=0, n_points=200, batch_size=16):
         xb, yb = xs[idx], ys[idx]
         return gradient(margins(x, xb, yb), xb, yb)
 
+    # the stacked matmul runs the same (batch, 2) @ (2,) product per t as cost
+    def costs(T, x):
+        idx = indices.rows(1, T + 1)
+        terms = np.logaddexp(0.0, -margins(x, xs[idx], ys[idx]))
+        return terms.sum(axis=1) / batch_size
+
     def full_objective(theta):
         return loss(margins(theta, xs, ys))
 
@@ -205,6 +224,7 @@ def toy_training_problem(seed=0, n_points=200, batch_size=16):
         d=3, cost=cost, grad=grad, box=box, g_inf=g_inf,
         comparator_for=comparator_for, separable=False,
         name=f"logistic(seed={seed})", full_objective=full_objective,
+        costs=costs,
     )
 
 
@@ -324,7 +344,10 @@ def run_oco(problem, stepper, h, T, x1=None, record_full=False, record_iterates=
             vhat_hist[t - 1] = state.v_hat
 
     comparator = comparator_oracle(problem, T)
-    comp_losses = np.array([problem.cost(t, comparator) for t in range(1, T + 1)])
+    if problem.costs is not None:
+        comp_losses = problem.costs(T, comparator)
+    else:
+        comp_losses = np.array([problem.cost(t, comparator) for t in range(1, T + 1)])
     return RegretTrace(
         losses=losses,
         comparator_losses=comp_losses,

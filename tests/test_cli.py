@@ -12,7 +12,8 @@ import pytest
 
 from adamxlab import (HyperParams, average_regret, quadratic_problem, run_oco,
                       synthetic_problem)
-from adamxlab.cli import _CSV_CHUNK_ROWS, ExperimentConfig, _write_trace_csv, main
+from adamxlab.cli import (_CSV_CHUNK_ROWS, ExperimentConfig, _read_series,
+                          _write_trace_csv, main)
 
 GOLDEN_X2 = "0.9968377223398316"
 GOLDEN_X3 = "0.9970569034941291"
@@ -324,6 +325,61 @@ def test_plot_rejects_short_rows(tmp_path, capsys):
         ["plot", str(bad), "--output", str(tmp_path / "x.svg")], capsys)
     assert code == 2
     assert "line 2: malformed row" in err
+
+
+@pytest.mark.parametrize("row", ["2,0,0,0,inf,0", "2,0,0,0,nan,0", "nan,0,0,0,1,0",
+                                 "-inf,0,0,0,1,0"])
+def test_plot_rejects_non_finite_values(tmp_path, capsys, row):
+    bad = tmp_path / "nonfinite.csv"
+    bad.write_text("t,f_xt,f_xstar,regret,avg_regret,x_0\n"
+                   "1,0,0,0,0.5,0\n\n" + row + "\n")
+    target = tmp_path / "x.svg"
+    code, out, err = run_cli(["plot", str(bad), "--output", str(target)], capsys)
+    assert code == 2
+    assert "line 4: non-finite value" in err
+    assert not target.exists()
+
+
+def test_plot_ignores_non_finite_unplotted_column(tmp_path, capsys):
+    trace = tmp_path / "ok.csv"
+    trace.write_text("t,f_xt,f_xstar,regret,avg_regret,x_0\n"
+                     "1,inf,0,0,0.5,0\n2,0,0,0,0.25,nan\n")
+    code, out, err = run_cli(["plot", str(trace), "--output", str(tmp_path / "x.svg")],
+                             capsys)
+    assert code == 0
+
+
+def test_plot_reads_quoted_cells_like_bare_ones(tmp_path, capsys):
+    # csv quoting is not something np.loadtxt parses; the row scan does
+    bare, quoted = tmp_path / "bare.csv", tmp_path / "quoted.csv"
+    bare.write_text("t,f_xt,f_xstar,regret,avg_regret,x_0\n1,0,0,0,0.5,0\n2,0,0,0,0.25,0\n")
+    quoted.write_text('t,f_xt,f_xstar,regret,avg_regret,x_0\n1,0,0,0,"0.5",0\n'
+                      '2,0,0,0,0.25,0\n')
+    for path in (bare, quoted):
+        code, _, _ = run_cli(["plot", str(path), "--output", str(path) + ".svg"], capsys)
+        assert code == 0
+    svg = (tmp_path / "bare.csv.svg").read_text()
+    assert svg.replace("bare.csv", "quoted.csv") == (tmp_path / "quoted.csv.svg").read_text()
+
+
+@pytest.mark.parametrize("column", ["avg_regret", "x_0"])
+def test_series_reader_matches_float_per_cell(tmp_path, capsys, column):
+    trace = make_trace(tmp_path, capsys, "run.csv", ["--problem", "quadratic",
+                                                     "--steps", "300", "--seed", "3"])
+    with open(trace, newline="") as f:
+        rows = list(csv.DictReader(f))
+    ts, ys = _read_series(str(trace), column)
+    assert ts == [float(r["t"]) for r in rows]
+    assert ys == [float(r[column]) for r in rows]
+
+
+def test_plot_names_malformed_line_in_a_later_column(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("t,f_xt,f_xstar,regret,avg_regret,x_0\n"
+                   "1,0,0,0,0,0\n2,0,0,0,0,x\n")
+    code, out, err = run_cli(["plot", str(bad), "--output", str(tmp_path / "x.svg")], capsys)
+    assert code == 2
+    assert "line 3: malformed row" in err
 
 
 # ------------------------------------------------------------ round trips

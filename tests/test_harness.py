@@ -1,5 +1,7 @@
 """Problem construction, comparator oracles, and the regret loop."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -451,6 +453,50 @@ def test_regret_is_cumsum_of_loss_gaps():
     gaps = trace.losses - trace.comparator_losses
     np.testing.assert_allclose(trace.cumulative_regret, np.cumsum(gaps),
                                rtol=1e-9, atol=0)
+
+
+# ------------------------------------------------ comparator losses at once
+
+def per_t_costs(p, T, x):
+    return np.array([p.cost(t, x) for t in range(1, T + 1)])
+
+
+def assert_bitwise(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_synthetic_costs_match_per_t_loop():
+    p = synthetic_problem()
+    for x in (-1.0, -0.0, 0.3, 1.0):
+        assert_bitwise(p.costs(5000, np.array([x])), per_t_costs(p, 5000, np.array([x])))
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 16])
+def test_quadratic_costs_match_per_t_loop(d):
+    p = quadratic_problem(17, d)
+    x = np.random.default_rng(d).uniform(-1.0, 1.0, size=d)
+    # horizons on both sides of the keyed table's block edge
+    for T in (4095, keyed.BLOCK, 4097, 5000):
+        assert_bitwise(p.costs(T, x), per_t_costs(p, T, x))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_logistic_costs_match_per_t_loop(seed):
+    p = toy_training_problem(seed)
+    x = np.random.default_rng(seed).uniform(-3.0, 3.0, size=3)
+    assert_bitwise(p.costs(2000, x), per_t_costs(p, 2000, x))
+
+
+@pytest.mark.parametrize("make", [synthetic_problem, lambda: quadratic_problem(4, 3),
+                                  lambda: toy_training_problem(1)],
+                         ids=["synthetic", "quadratic", "logistic"])
+def test_problem_without_costs_scores_comparator_per_t(make):
+    p = make()
+    assert p.costs is not None
+    vectorized = run_oco(p, "adamx", H_REF, 300)
+    looped = run_oco(dataclasses.replace(p, costs=None), "adamx", H_REF, 300)
+    assert_bitwise(vectorized.comparator_losses, looped.comparator_losses)
+    assert_bitwise(vectorized.cumulative_regret, looped.cumulative_regret)
 
 
 def test_run_is_deterministic():
