@@ -6,8 +6,7 @@ regret-bound evaluation, and numeric checks for every inequality the
 bounds rest on.
 """
 
-from .errors import (BoundUndefined, NumericFault, UnsupportedProblem,
-                     VerificationFailure)
+from .errors import BoundUndefined, NumericFault, VerificationFailure
 from .harness import (ProblemInstance, RegretTrace, average_regret,
                       comparator_oracle, quadratic_problem, run_oco,
                       synthetic_problem, toy_training_problem)
@@ -29,7 +28,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundContext", "BoundUndefined", "CheckReport", "FeasibleBox",
     "HyperParams", "NumericFault", "OptimizerState", "ProblemInstance",
-    "RegretTrace", "Schedule", "UnsupportedProblem", "VerificationFailure",
+    "RegretTrace", "Schedule", "VerificationFailure",
     "adamx_bound_terms", "alpha_at", "amsgrad_bound_terms", "as_vector",
     "average_regret", "beta1_at", "beta1_sequence",
     "bound_adamx", "bound_amsgrad", "check_adamx_scaled_monotonicity",

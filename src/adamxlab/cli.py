@@ -39,7 +39,7 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
 
-_TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false"}
+_TYPE_NAMES = {int: "an integer", float: "a number"}
 
 
 def _type_ok(kind, value):
@@ -47,8 +47,6 @@ def _type_ok(kind, value):
     so it is kept out of the numeric fields by hand; a float field also
     takes an int that a double can hold, which the hyperparameter checks
     can then read."""
-    if kind is bool:
-        return isinstance(value, bool)
     if isinstance(value, bool):
         return False
     if kind is int:
@@ -72,9 +70,6 @@ class ExperimentConfig:
     steps: int = 1000
     seed: int = 0
     dim: int = 2
-    record_full: bool = False
-    alpha_constant: bool = False
-    bias_correction: bool = False
     output_path: Optional[str] = None
 
     def validate(self):
@@ -100,8 +95,7 @@ class ExperimentConfig:
     def hyperparams(self):
         return HyperParams(alpha=self.alpha, beta1=self.beta1, beta2=self.beta2,
                            lam=self.lam, schedule=Schedule(self.schedule),
-                           epsilon=self.epsilon, alpha_constant=self.alpha_constant,
-                           bias_correction=self.bias_correction)
+                           epsilon=self.epsilon)
 
     def problem_instance(self):
         if self.problem == "synthetic":
@@ -116,6 +110,8 @@ _CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)} | {"lambda"}
 
 def _config_from(entry, overrides):
     """Build a config from a JSON dict layered under explicit flag values."""
+    if "lam" in entry and "lambda" in entry:
+        raise ValueError("config keys 'lam' and 'lambda' both set lambda; keep one")
     merged = {}
     for key, value in entry.items():
         if key not in _CONFIG_KEYS:
@@ -206,8 +202,7 @@ def _execute_run(config):
     problem = config.problem_instance()
     try:
         trace = run_oco(problem, config.optimizer, config.hyperparams(),
-                        config.steps, record_full=config.record_full,
-                        record_iterates=True)
+                        config.steps, record_iterates=True)
     except NumericFault as err:
         return EXIT_NUMERIC, f"numeric fault at step {err.step}: {err}", None
     return EXIT_OK, _summary_line(trace), trace
@@ -473,14 +468,6 @@ def build_parser():
     run.add_argument("--steps", type=int)
     run.add_argument("--seed", type=int)
     run.add_argument("--dim", type=int, help="dimension for the quadratic problem")
-    run.add_argument("--record-full", dest="record_full",
-                     action=argparse.BooleanOptionalAction, default=None)
-    run.add_argument("--alpha-constant", dest="alpha_constant",
-                     action=argparse.BooleanOptionalAction, default=None,
-                     help="keep the step size fixed instead of alpha/sqrt(t)")
-    run.add_argument("--bias-correction", dest="bias_correction",
-                     action=argparse.BooleanOptionalAction, default=None,
-                     help="adam only: rescale moments by 1/(1-beta^t)")
     run.add_argument("--output", dest="output_path", help="CSV path (stdout when omitted)")
     run.set_defaults(func=cmd_run)
 

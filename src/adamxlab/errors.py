@@ -21,10 +21,6 @@ class BoundUndefined(ValueError):
     """A regret bound was evaluated outside its hypotheses (gamma >= 1)."""
 
 
-class UnsupportedProblem(ValueError):
-    """No comparator strategy applies to the given problem."""
-
-
 class VerificationFailure(AssertionError):
     """A golden-value reproduction diverged.
 

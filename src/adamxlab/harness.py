@@ -23,7 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import keyed
-from .errors import NumericFault, UnsupportedProblem
+from .errors import NumericFault
 from .numerics import FeasibleBox, as_vector, project_box
 from .optimizers import fresh_state, resolve_stepper
 
@@ -32,16 +32,13 @@ from .optimizers import fresh_state, resolve_stepper
 class ProblemInstance:
     """A cost sequence plus the constants the regret bounds consume.
 
-    ``comparator`` is the fixed best point when it does not depend on
-    the horizon; ``comparator_for`` maps a horizon T to the argmin of
-    the first-T sum when it does. ``separable`` marks objectives that
-    split per coordinate, which the grid-refinement comparator needs
-    for d > 1. ``x1`` overrides the default starting iterate (the box
-    center). ``full_objective``, when present, scores a point against
-    the whole dataset behind the cost sequence. ``costs``, when present,
+    Every problem supplies ``costs`` and ``comparator_for``. ``costs``
     maps (T, x) to the array f_1(x), ..., f_T(x) in one vectorized pass,
     bitwise equal to calling ``cost`` once per t; ``run_oco`` scores the
-    comparator with it and falls back to the per-t loop without it.
+    comparator with it. ``comparator_for`` maps a horizon T to the argmin
+    of the first-T sum over the box. ``x1`` overrides the default starting
+    iterate (the box center). ``full_objective``, when present, scores a
+    point against the whole dataset behind the cost sequence.
     """
 
     d: int
@@ -49,13 +46,11 @@ class ProblemInstance:
     grad: Callable[[int, np.ndarray], np.ndarray]
     box: FeasibleBox
     g_inf: float
-    comparator: Optional[np.ndarray] = None
-    comparator_for: Optional[Callable[[int], np.ndarray]] = None
-    separable: bool = False
+    costs: Callable[[int, np.ndarray], np.ndarray]
+    comparator_for: Callable[[int], np.ndarray]
     x1: Optional[np.ndarray] = None
     name: str = ""
     full_objective: Optional[Callable[[np.ndarray], float]] = None
-    costs: Optional[Callable[[int, np.ndarray], np.ndarray]] = None
 
 
 def synthetic_problem():
@@ -82,9 +77,9 @@ def synthetic_problem():
         return np.where(ts % 101 == 1, 1010.0, -10.0) * x[0]
 
     return ProblemInstance(
-        d=1, cost=cost, grad=grad, box=box, g_inf=1010.0,
-        comparator=np.array([-1.0]), separable=True,
-        x1=np.array([1.0]), name="synthetic", costs=costs,
+        d=1, cost=cost, grad=grad, box=box, g_inf=1010.0, costs=costs,
+        comparator_for=lambda T: np.array([-1.0]),
+        x1=np.array([1.0]), name="synthetic",
     )
 
 
@@ -134,9 +129,8 @@ def quadratic_problem(seed, d, box=None, fixed_center=None):
         return project_box(total / T, box)
 
     return ProblemInstance(
-        d=d, cost=cost, grad=grad, box=box, g_inf=box.diameter,
-        comparator_for=comparator_for, separable=True,
-        name=f"quadratic(seed={seed},d={d})", costs=costs,
+        d=d, cost=cost, grad=grad, box=box, g_inf=box.diameter, costs=costs,
+        comparator_for=comparator_for, name=f"quadratic(seed={seed},d={d})",
     )
 
 
@@ -221,55 +215,18 @@ def toy_training_problem(seed=0, n_points=200, batch_size=16):
         return best.copy()
 
     return ProblemInstance(
-        d=3, cost=cost, grad=grad, box=box, g_inf=g_inf,
-        comparator_for=comparator_for, separable=False,
-        name=f"logistic(seed={seed})", full_objective=full_objective,
-        costs=costs,
+        d=3, cost=cost, grad=grad, box=box, g_inf=g_inf, costs=costs,
+        comparator_for=comparator_for, name=f"logistic(seed={seed})",
+        full_objective=full_objective,
     )
 
 
 def comparator_oracle(problem, T):
-    """Best fixed point in the box for the first T costs.
-
-    Analytic routes are preferred; otherwise the summed objective is
-    minimized by coordinatewise grid refinement, which is valid for one
-    dimensional or separable problems only.
-    """
+    """Best fixed point in the box for the first T costs: the problem's
+    own ``comparator_for``, a closed form or a solver."""
     if T < 1:
         raise ValueError("horizon must be >= 1")
-    if problem.comparator_for is not None:
-        return as_vector(problem.comparator_for(T), dim=problem.d)
-    if problem.comparator is not None:
-        return problem.comparator.copy()
-    if problem.d > 1 and not problem.separable:
-        raise UnsupportedProblem(
-            f"no analytic comparator for non-separable problem {problem.name or '?'}")
-    return _grid_refine(problem, T)
-
-
-def _grid_refine(problem, T, tol=1e-9, points=33):
-    """Coordinatewise iterated grid search on the summed objective."""
-    box = problem.box
-    result = box.center()
-
-    def total(x):
-        return sum(problem.cost(t, x) for t in range(1, T + 1))
-
-    for i in range(problem.d):
-        lo, hi = float(box.lower[i]), float(box.upper[i])
-        probe = result.copy()
-        while hi - lo > tol:
-            xs = np.linspace(lo, hi, points)
-            best_k, best_val = 0, math.inf
-            for k, val in enumerate(xs):
-                probe[i] = val
-                f = total(probe)
-                if f < best_val:
-                    best_k, best_val = k, f
-            lo = xs[max(best_k - 1, 0)]
-            hi = xs[min(best_k + 1, points - 1)]
-        result[i] = 0.5 * (lo + hi)
-    return project_box(result, box)
+    return as_vector(problem.comparator_for(T), dim=problem.d)
 
 
 @dataclass
@@ -344,10 +301,7 @@ def run_oco(problem, stepper, h, T, x1=None, record_full=False, record_iterates=
             vhat_hist[t - 1] = state.v_hat
 
     comparator = comparator_oracle(problem, T)
-    if problem.costs is not None:
-        comp_losses = problem.costs(T, comparator)
-    else:
-        comp_losses = np.array([problem.cost(t, comparator) for t in range(1, T + 1)])
+    comp_losses = problem.costs(T, comparator)
     return RegretTrace(
         losses=losses,
         comparator_losses=comp_losses,

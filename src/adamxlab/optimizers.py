@@ -9,9 +9,7 @@ All three optimizers take the same step, ``_step``:
 with alpha_t = alpha / sqrt(t). They differ only in the rule that turns
 v_t into the denominator surrogate v_hat_t:
 
-* adam, ``_raw``: v_hat_t = v_t. With ``bias_correction`` the update
-  divides m_t by 1 - beta1^t and v_t by 1 - beta2^t, using the base
-  weights, not the scheduled beta1_t.
+* adam, ``_raw``: v_hat_t = v_t.
 * amsgrad, ``_running_max``: v_hat_t = max(v_hat_{t-1}, v_t).
 * adamx, ``_rescaled_max``: v_hat_1 = v_1, then
   v_hat_t = max(((1-beta1_t)^2/(1-beta1_{t-1})^2) * v_hat_{t-1}, v_t),
@@ -85,9 +83,7 @@ class HyperParams:
     beta1_t = beta1 * lam^(t-1); it is ignored by the other schedules
     but always validated. ``gamma`` = beta1/sqrt(beta2) may not exceed 1;
     the regret bounds additionally need gamma < 1, which the bound code
-    enforces at evaluation time. ``alpha_constant`` switches off the
-    1/sqrt(t) step-size decay; it exists for toy training runs only and
-    is never used in verification.
+    enforces at evaluation time.
     """
 
     alpha: float = 0.001
@@ -96,8 +92,6 @@ class HyperParams:
     lam: float = 0.001
     schedule: Schedule = Schedule.EXP_DECAY
     epsilon: float = 0.0
-    bias_correction: bool = False
-    alpha_constant: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "schedule", Schedule(self.schedule))
@@ -155,8 +149,7 @@ def beta1_at(t, h):
 
 
 def alpha_at(t, h):
-    if h.alpha_constant:
-        return h.alpha
+    """The step size alpha_t = alpha / sqrt(t) at step t >= 1."""
     return h.alpha / math.sqrt(t)
 
 
@@ -209,13 +202,9 @@ def _array_step(state, g, h, box, rule):
     m = b1 * state.m + (1.0 - b1) * g
     v = h.beta2 * state.v + (1.0 - h.beta2) * g * g
     v_hat = v.copy() if w is None else np.maximum(w * state.v_hat, v)
-    m_eff, v_eff = m, v_hat
-    if rule is _raw and h.bias_correction:
-        m_eff = m / (1.0 - h.beta1 ** t)
-        v_eff = v / (1.0 - h.beta2 ** t)
-    denom = np.sqrt(v_eff) + h.epsilon
+    denom = np.sqrt(v_hat) + h.epsilon
     update = np.zeros_like(m)
-    np.divide(m_eff, denom, out=update, where=denom > 0.0)
+    np.divide(m, denom, out=update, where=denom > 0.0)
     z = state.x - alpha_at(t, h) * update
     if not math.isfinite((m + v + v_hat + z).sum()):
         as_vector(g)
@@ -235,9 +224,6 @@ def _scalar_step(state, g, h, box, rule):
     or, if the sum merely overflowed, returns this same result."""
     g, t, b1, w = _begin(state, g, h, box, rule)
     c1, beta2, c2 = 1.0 - b1, h.beta2, 1.0 - h.beta2
-    cb1 = cb2 = None
-    if rule is _raw and h.bias_correction:
-        cb1, cb2 = 1.0 - h.beta1 ** t, 1.0 - h.beta2 ** t
     a, eps = alpha_at(t, h), h.epsilon
     xs, ms, vs, vhs = [], [], [], []
     total = 0.0
@@ -252,9 +238,8 @@ def _scalar_step(state, g, h, box, rule):
             vh = w * vhp
             if not (vh > v or vh != vh):
                 vh = v
-        me, ve = (m, vh) if cb1 is None else (m / cb1, v / cb2)
-        den = (math.sqrt(ve) if ve >= 0.0 else math.nan) + eps
-        z = xp - a * (me / den if den > 0.0 else 0.0)
+        den = (math.sqrt(vh) if vh >= 0.0 else math.nan) + eps
+        z = xp - a * (m / den if den > 0.0 else 0.0)
         total += m + v + vh + z
         y = z if z > lo else lo
         xs.append(y if y < up else up)

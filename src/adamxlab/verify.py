@@ -178,13 +178,22 @@ def beta1_sequence(h, T):
     return np.array([beta1_at(t, h) for t in range(1, T + 1)])
 
 
-def find_t0(schedule, h, vhat_history, T):
+def _beta1_seq(beta1_seq, T):
+    """``beta1_seq`` as a float64 array, which must hold one entry per step."""
+    seq = np.asarray(beta1_seq, dtype=np.float64)
+    if seq.shape != (T,):
+        raise ValueError(f"beta1_seq must have length T={T}")
+    return seq
+
+
+def find_t0(h, vhat_history, T):
     """Smallest t0 past which sqrt(t*vhat_t)/(1-beta_{1,t}) is nondecreasing.
 
-    The scan is over the recorded trajectory, every coordinate at once;
-    the answer is the last step where the ordering fails (1 when it
-    never fails, T when it still fails at the horizon, in which case the
-    bound that consumes t0 degenerates to its worst case).
+    beta_{1,t} follows h's schedule. The scan is over the recorded
+    trajectory, every coordinate at once; the answer is the last step
+    where the ordering fails (1 when it never fails, T when it still
+    fails at the horizon, in which case the bound that consumes t0
+    degenerates to its worst case).
     """
     if vhat_history is None:
         raise ValueError("vhat history required; run with record_full")
@@ -193,8 +202,6 @@ def find_t0(schedule, h, vhat_history, T):
         vh = vh.reshape(-1, 1)
     if vh.shape[0] < T:
         raise ValueError(f"history has {vh.shape[0]} rows, need {T}")
-    if schedule is not None and Schedule(schedule) != h.schedule:
-        h = replace(h, schedule=Schedule(schedule))
 
     ts = np.arange(1, T + 1, dtype=np.float64)[:, None]
     scaled = np.sqrt(ts * vh[:T]) / (1.0 - beta1_sequence(h, T))[:, None]
@@ -236,7 +243,7 @@ class BoundContext:
             beta2=h.beta2,
             lam=h.lam,
             gamma=h.gamma,
-            t0=find_t0(h.schedule, h, trace.vhat_history, trace.T),
+            t0=find_t0(h, trace.vhat_history, trace.T),
             grad_col_norms=[l2_norm_columns(trace.gradient_history, i)
                             for i in range(problem.d)],
         )
@@ -286,9 +293,7 @@ def adamx_bound_terms(ctx, beta1_seq, statement_coefficients=False):
     the factor 1/(1-beta1) on those terms and are otherwise identical.
     """
     _require_gamma(ctx)
-    seq = np.asarray(beta1_seq, dtype=np.float64)
-    if seq.shape != (ctx.T,):
-        raise ValueError(f"beta1_seq must have length T={ctx.T}")
+    seq = _beta1_seq(beta1_seq, ctx.T)
     power = 1 if statement_coefficients else 2
     lead = (ctx.d * ctx.d_inf ** 2 * ctx.g_inf
             / (2.0 * ctx.alpha * (1.0 - ctx.beta1) ** power))
@@ -344,9 +349,7 @@ def check_adamx_vhat_closed_form(trace, beta1_seq, label=""):
     """Recursive vhat against max_s ((1-b_t)^2/(1-b_s)^2) v_s, s <= t."""
     if trace.v_history is None or trace.vhat_history is None:
         raise ValueError("v and vhat histories required; run with record_full")
-    seq = np.asarray(beta1_seq, dtype=np.float64)
-    if seq.shape != (trace.T,):
-        raise ValueError(f"beta1_seq must have length T={trace.T}")
+    seq = _beta1_seq(beta1_seq, trace.T)
     # max_s ((1-b_t)/(1-b_s))^2 v_s = (1-b_t)^2 * max_s v_s/(1-b_s)^2,
     # so one running maximum gives every t at once
     one_minus_sq = ((1.0 - seq) ** 2)[:, None]
@@ -379,7 +382,7 @@ def check_adamx_scaled_monotonicity(trace, beta1_seq, label=""):
     """sqrt(vhat_t)/(1-beta_{1,t}) never decreases along an AdamX run."""
     if trace.vhat_history is None:
         raise ValueError("vhat history required; run with record_full")
-    seq = np.asarray(beta1_seq, dtype=np.float64)
+    seq = _beta1_seq(beta1_seq, trace.T)
     scaled = np.sqrt(trace.vhat_history) / (1.0 - seq)[:, None]
     tol = 1e-9 * np.maximum(1.0, scaled[:-1])
     bad = scaled[1:] < scaled[:-1] - tol
@@ -398,7 +401,7 @@ def check_telescoping_positivity(trace, beta1_seq, label=""):
     """
     if trace.vhat_history is None:
         raise ValueError("vhat history required; run with record_full")
-    seq = np.asarray(beta1_seq, dtype=np.float64)
+    seq = _beta1_seq(beta1_seq, trace.T)
     ts = np.arange(1, trace.T + 1, dtype=np.float64)[:, None]
     terms = np.sqrt(ts * trace.vhat_history) / (1.0 - seq)[:, None]
     prev = np.vstack([np.zeros((1, terms.shape[1])), terms[:-1]])
@@ -422,8 +425,7 @@ def decomposition_terms(trace, h):
         raise ValueError("iterate and moment histories required; run with record_full")
     T = trace.T
     sq = (trace.iterates - trace.comparator) ** 2
-    alphas = (np.full(T, h.alpha) if h.alpha_constant
-              else h.alpha / np.sqrt(np.arange(1, T + 1, dtype=np.float64)))
+    alphas = h.alpha / np.sqrt(np.arange(1, T + 1, dtype=np.float64))
     b1s = beta1_sequence(h, T)
     sv = np.sqrt(trace.vhat_history)
 

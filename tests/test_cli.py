@@ -128,8 +128,8 @@ def test_config_missing_file(tmp_path, capsys):
     ({"steps": 2.5}, "steps must be an integer, got 2.5"),
     ({"steps": "10"}, "steps must be an integer, got '10'"),
     ({"steps": True}, "steps must be an integer, got True"),
-    ({"record_full": "no"}, "record_full must be true or false, got 'no'"),
-    ({"record_full": 0}, "record_full must be true or false, got 0"),
+    ({"record_full": True}, "unknown config key 'record_full'"),
+    ({"lam": 0.2, "lambda": 0.1}, "'lam' and 'lambda' both set lambda"),
     ({"alpha": "0.1"}, "alpha must be a number, got '0.1'"),
     ({"alpha": False}, "alpha must be a number, got False"),
     ({"alpha": 10 ** 400}, "alpha must be a number"),
@@ -145,10 +145,18 @@ def test_config_rejects_ill_typed_values(tmp_path, capsys, entry, message):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("flag", ["--bias-correction", "--alpha-constant", "--record-full"])
+def test_run_rejects_removed_flags(capsys, flag):
+    code, out, err = run_cli(["run", flag], capsys)
+    assert code == 2
+    assert f"unrecognized arguments: {flag}" in err
+    assert "Traceback" not in err
+
+
 def test_config_takes_integer_for_float_field(tmp_path, capsys):
     # a float field takes a JSON integer and reads it as a double
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"steps": 2, "epsilon": 0, "record_full": False}))
+    cfg.write_text(json.dumps({"steps": 2, "epsilon": 0}))
     code, out, err = run_cli(["run", "--config", str(cfg)], capsys)
     assert code == 0
     assert GOLDEN_X2 in out and GOLDEN_X3 in out

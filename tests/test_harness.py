@@ -1,6 +1,6 @@
 """Problem construction, comparator oracles, and the regret loop."""
 
-import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -8,14 +8,40 @@ from scipy.optimize import minimize
 from scipy.special import expit
 
 from adamxlab import (FeasibleBox, HyperParams, NumericFault, ProblemInstance,
-                      Schedule, UnsupportedProblem, average_regret,
-                      quadratic_problem, run_oco, synthetic_problem,
-                      keyed, toy_training_problem)
-from adamxlab.harness import _grid_refine, comparator_oracle
+                      Schedule, average_regret, quadratic_problem, run_oco,
+                      synthetic_problem, keyed, toy_training_problem)
+from adamxlab.harness import comparator_oracle
 from adamxlab.numerics import project_box
 
 H_REF = HyperParams(alpha=0.001, beta1=0.9, beta2=0.999, lam=0.001,
                     schedule=Schedule.EXP_DECAY)
+
+
+def _grid_refine(problem, T, tol=1e-9, points=33):
+    """Coordinatewise iterated grid search on the summed objective: an
+    independent cross-check of the closed-form comparators, valid for
+    one-dimensional or separable problems."""
+    box = problem.box
+    result = box.center()
+
+    def total(x):
+        return sum(problem.cost(t, x) for t in range(1, T + 1))
+
+    for i in range(problem.d):
+        lo, hi = float(box.lower[i]), float(box.upper[i])
+        probe = result.copy()
+        while hi - lo > tol:
+            xs = np.linspace(lo, hi, points)
+            best_k, best_val = 0, math.inf
+            for k, val in enumerate(xs):
+                probe[i] = val
+                f = total(probe)
+                if f < best_val:
+                    best_k, best_val = k, f
+            lo = xs[max(best_k - 1, 0)]
+            hi = xs[min(best_k + 1, points - 1)]
+        result[i] = 0.5 * (lo + hi)
+    return project_box(result, box)
 
 
 # ------------------------------------------------------- synthetic problem
@@ -35,8 +61,15 @@ def test_synthetic_gradient_pattern():
 def test_synthetic_comparator_is_minus_one():
     p = synthetic_problem()
     np.testing.assert_array_equal(comparator_oracle(p, 101), np.array([-1.0]))
-    # the grid oracle agrees without being told the answer
-    assert abs(_grid_refine(p, 3)[0] - (-1.0)) <= 1e-6
+
+
+@pytest.mark.parametrize("T", [3, 101, 102])
+def test_synthetic_comparator_matches_grid_search(T):
+    # the grid search agrees without being told the answer, on both sides
+    # of the horizons where the large slope comes round again
+    p = synthetic_problem()
+    np.testing.assert_allclose(_grid_refine(p, T), comparator_oracle(p, T),
+                               rtol=0, atol=1e-6)
 
 
 def test_synthetic_reference_regret():
@@ -370,14 +403,16 @@ def test_toy_comparator_beats_grid_probes():
 
 # ------------------------------------------------------------- run_oco api
 
-def test_unsupported_comparator_raises():
-    # multi-dimensional, not separable, no closed form: nothing can solve it
-    box = FeasibleBox.cube(-1.0, 1.0, 2)
-    p = ProblemInstance(d=2, cost=lambda t, x: float(np.sum(x**2)),
-                        grad=lambda t, x: 2.0 * x, box=box, g_inf=4.0,
-                        name="opaque")
-    with pytest.raises(UnsupportedProblem):
-        run_oco(p, "amsgrad", H_REF, 5)
+def test_problem_requires_costs_and_comparator():
+    # a problem without its comparator losses or its comparator cannot be built
+    parts = dict(d=2, cost=lambda t, x: float(np.sum(x**2)),
+                 grad=lambda t, x: 2.0 * x, box=FeasibleBox.cube(-1.0, 1.0, 2),
+                 g_inf=4.0, costs=lambda T, x: np.full(T, float(np.sum(x**2))),
+                 comparator_for=lambda T: np.zeros(2))
+    ProblemInstance(**parts)
+    for missing in ("costs", "comparator_for"):
+        with pytest.raises(TypeError, match=missing):
+            ProblemInstance(**{k: v for k, v in parts.items() if k != missing})
 
 
 def test_histories_gated_by_flags():
@@ -427,7 +462,8 @@ def constant_problem(g):
     box = FeasibleBox.cube(-1.0, 1.0, len(g))
     return ProblemInstance(d=len(g), cost=lambda t, x: 0.0,
                            grad=lambda t, x: np.array(g), box=box, g_inf=1.0,
-                           comparator=np.zeros(len(g)), name="constant")
+                           costs=lambda T, x: np.zeros(T),
+                           comparator_for=lambda T: np.zeros(len(g)), name="constant")
 
 
 def hold(state, g, h, box):
@@ -485,18 +521,6 @@ def test_logistic_costs_match_per_t_loop(seed):
     p = toy_training_problem(seed)
     x = np.random.default_rng(seed).uniform(-3.0, 3.0, size=3)
     assert_bitwise(p.costs(2000, x), per_t_costs(p, 2000, x))
-
-
-@pytest.mark.parametrize("make", [synthetic_problem, lambda: quadratic_problem(4, 3),
-                                  lambda: toy_training_problem(1)],
-                         ids=["synthetic", "quadratic", "logistic"])
-def test_problem_without_costs_scores_comparator_per_t(make):
-    p = make()
-    assert p.costs is not None
-    vectorized = run_oco(p, "adamx", H_REF, 300)
-    looped = run_oco(dataclasses.replace(p, costs=None), "adamx", H_REF, 300)
-    assert_bitwise(vectorized.comparator_losses, looped.comparator_losses)
-    assert_bitwise(vectorized.cumulative_regret, looped.cumulative_regret)
 
 
 def test_run_is_deterministic():

@@ -238,9 +238,9 @@ def test_t0_schedule_goldens():
 def test_t0_trajectory_agrees_with_schedule_on_synthetic():
     p = synthetic_problem()
     tr = run_oco(p, "amsgrad", H_EXP, 1000, record_full=True)
-    assert find_t0(Schedule.EXP_DECAY, H_EXP, tr.vhat_history, 1000) == 2
+    assert find_t0(H_EXP, tr.vhat_history, 1000) == 2
     tr_inv = run_oco(p, "amsgrad", H_INV, 1000, record_full=True)
-    assert find_t0(Schedule.INVERSE_T, H_INV, tr_inv.vhat_history, 1000) == 3
+    assert find_t0(H_INV, tr_inv.vhat_history, 1000) == 3
 
 
 def test_t0_hand_example():
@@ -248,14 +248,14 @@ def test_t0_hand_example():
     # vhat = [4, 1] violates it at t=2 (2*1 < 1*4), so t0 = T = 2
     h = HyperParams(schedule=Schedule.CONSTANT)
     vhat = np.array([[4.0], [1.0]])
-    assert find_t0(Schedule.CONSTANT, h, vhat, 2) == 2
+    assert find_t0(h, vhat, 2) == 2
     # vhat = [1, 4] satisfies it everywhere, so t0 = 1
-    assert find_t0(Schedule.CONSTANT, h, np.array([[1.0], [4.0]]), 2) == 1
+    assert find_t0(h, np.array([[1.0], [4.0]]), 2) == 1
 
 
 def test_t0_requires_history():
     with pytest.raises(ValueError):
-        find_t0(Schedule.EXP_DECAY, H_EXP, None, 10)
+        find_t0(H_EXP, None, 10)
 
 
 def test_context_from_run():
@@ -394,7 +394,7 @@ def test_rewritten_checks_match_loop_references(equivalence_runs, tamper):
         if tamper is not None:
             row, factor = tamper
             trace.vhat_history[row] *= factor
-        assert (find_t0(h.schedule, h, trace.vhat_history, EQUIV_T)
+        assert (find_t0(h, trace.vhat_history, EQUIV_T)
                 == loop_find_t0(h, trace.vhat_history, EQUIV_T))
         seq = beta1_sequence(h, EQUIV_T)
         report = check_adamx_vhat_closed_form(trace, seq)
@@ -419,6 +419,32 @@ def test_monotonicity_flags_first_violation():
     report = check_adamx_scaled_monotonicity(tr, seq)
     assert report.status == "fail"
     assert report.t_failed == 21
+
+
+SEQ_T = 20
+
+
+def seq_checks():
+    p = synthetic_problem()
+    tr = run_oco(p, "adamx", H_EXP, SEQ_T, record_full=True)
+    ctx = BoundContext.from_run(tr, p, H_EXP)
+    return {
+        "adamx_bound_terms": lambda seq: adamx_bound_terms(ctx, seq),
+        "closed_form": lambda seq: check_adamx_vhat_closed_form(tr, seq),
+        "monotonicity": lambda seq: check_adamx_scaled_monotonicity(tr, seq),
+        "telescoping": lambda seq: check_telescoping_positivity(tr, seq),
+    }
+
+
+@pytest.mark.parametrize("length", [1, SEQ_T - 1])
+@pytest.mark.parametrize("name", ["adamx_bound_terms", "closed_form", "monotonicity",
+                                  "telescoping"])
+def test_beta1_seq_of_wrong_length_is_rejected(name, length):
+    # a one-entry sequence would otherwise broadcast and judge a run that did not happen
+    check = seq_checks()[name]
+    check(beta1_sequence(H_EXP, SEQ_T))
+    with pytest.raises(ValueError, match=f"length T={SEQ_T}"):
+        check(beta1_sequence(H_EXP, length))
 
 
 def test_amsgrad_trajectory_can_fail_adamx_monotonicity_check():
@@ -481,7 +507,7 @@ def test_vectorized_step_sizes_equal_alpha_at():
         h = replace(H_EXP, alpha=alpha)
         np.testing.assert_array_equal(
             h.alpha / np.sqrt(ts), np.array([alpha_at(int(t), h) for t in ts]))
-    for h in (H_EXP, H_INV, replace(H_EXP, alpha_constant=True)):
+    for h in (H_EXP, H_INV):
         tr = run_oco(quadratic_problem(3, 2), "adamx", h, 300, record_full=True)
         assert decomposition_terms(tr, h) == reference_decomposition_terms(tr, h)
 
