@@ -16,16 +16,15 @@ not on the access order, so any f_t can be evaluated at random access and
 identical configurations produce bit-identical traces.
 """
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import keyed
-from .errors import NumericFault
 from .numerics import FeasibleBox, as_vector, project_box
-from .optimizers import fresh_state, resolve_stepper
+from .optimizers import (RULES, SCALAR_MAX_DIM, check_oracle, fresh_state, resolve_stepper,
+                         run_scalar)
 
 
 @dataclass
@@ -142,7 +141,9 @@ def toy_training_problem(seed=0, n_points=200, batch_size=16):
     so paired optimizer runs face the identical cost sequence. The
     minibatch indices are filled 4096 t at a time on first demand (see
     ``keyed``) and kept per problem, so cost, grad and the comparator
-    share each draw and see the same rows in any access order.
+    share each draw and see the same rows in any access order; the rows
+    of the latest t are kept too, so the cost after a gradient at the
+    same t gathers nothing.
     Gradients are analytic. The per-sample gradient magnitude
     never exceeds the largest feature magnitude (the sigmoid factor is
     below 1), which gives g_inf from the data alone. scipy is imported
@@ -159,7 +160,6 @@ def toy_training_problem(seed=0, n_points=200, batch_size=16):
     box = FeasibleBox.cube(-10.0, 10.0, 3)
     g_inf = max(1.0, float(np.max(np.abs(xs))))
     indices = keyed.KeyedTable(lambda ts: keyed.integers(seed, ts, n_points, batch_size))
-    rows = indices.row
 
     def margins(theta, xb, yb):
         return yb * (xb @ theta[:2] + theta[2])
@@ -176,13 +176,26 @@ def toy_training_problem(seed=0, n_points=200, batch_size=16):
         gb = float(coeff.sum() / len(coeff))
         return np.array([gw[0], gw[1], gb])
 
+    # (t, xb, yb) of the latest gather, swapped as one tuple so that a
+    # thread never reads the rows of another t: a run calls grad, then
+    # cost at the same t
+    last = (None, None, None)
+
+    def batch(t):
+        nonlocal last
+        key, xb, yb = last
+        if key != t:
+            idx = indices.row(t)
+            xb, yb = xs[idx], ys[idx]
+            last = (t, xb, yb)
+        return xb, yb
+
     def cost(t, x):
-        idx = rows(t)
-        return loss(margins(x, xs[idx], ys[idx]))
+        xb, yb = batch(t)
+        return loss(margins(x, xb, yb))
 
     def grad(t, x):
-        idx = rows(t)
-        xb, yb = xs[idx], ys[idx]
+        xb, yb = batch(t)
         return gradient(margins(x, xb, yb), xb, yb)
 
     # the stacked matmul runs the same (batch, 2) @ (2,) product per t as cost
@@ -259,6 +272,11 @@ def run_oco(problem, stepper, h, T, x1=None, record_full=False, record_iterates=
     histories (memory grows with T*d); ``record_iterates`` can request
     just the iterates. A numeric fault inside a step propagates with the
     1-based step index attached.
+
+    A named stepper on at most SCALAR_MAX_DIM coordinates runs the whole
+    run in ``optimizers.run_scalar``; a step function, or more
+    coordinates, runs one ``step`` call per round. Both give the same
+    bytes and the same faults.
     """
     step = resolve_stepper(stepper)
     if T < 1:
@@ -279,26 +297,27 @@ def run_oco(problem, stepper, h, T, x1=None, record_full=False, record_iterates=
     v_hist = np.empty((T, d)) if record_full else None
     vhat_hist = np.empty((T, d)) if record_full else None
 
-    state = fresh_state(x1)
-    if iterates is not None:
-        iterates[0] = state.x
-    for t in range(1, T + 1):
-        x = state.x
-        g = np.asarray(problem.grad(t, x), dtype=np.float64)
-        loss = problem.cost(t, x)
-        # one fused test; a sum that merely overflowed is re-checked elementwise
-        if not math.isfinite(loss + g.sum()) and not (
-                np.all(np.isfinite(g)) and math.isfinite(loss)):
-            raise NumericFault(f"non-finite cost or gradient at step {t}", step=t)
-        losses[t - 1] = loss
-        grads[t - 1] = g
-        state = step(state, g, h, problem.box)
+    if isinstance(stepper, str) and d <= SCALAR_MAX_DIM:
+        state = run_scalar(RULES[stepper], problem.grad, problem.cost, h, problem.box, x1,
+                           losses, grads, iterates, m_hist, v_hist, vhat_hist)
+    else:
+        state = fresh_state(x1)
         if iterates is not None:
-            iterates[t] = state.x
-        if record_full:
-            m_hist[t - 1] = state.m
-            v_hist[t - 1] = state.v
-            vhat_hist[t - 1] = state.v_hat
+            iterates[0] = state.x
+        for t in range(1, T + 1):
+            x = state.x
+            g = np.asarray(problem.grad(t, x), dtype=np.float64)
+            loss = problem.cost(t, x)
+            check_oracle(t, loss, g)
+            losses[t - 1] = loss
+            grads[t - 1] = g
+            state = step(state, g, h, problem.box)
+            if iterates is not None:
+                iterates[t] = state.x
+            if record_full:
+                m_hist[t - 1] = state.m
+                v_hist[t - 1] = state.v
+                vhat_hist[t - 1] = state.v_hat
 
     comparator = comparator_oracle(problem, T)
     comp_losses = problem.costs(T, comparator)

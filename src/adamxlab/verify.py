@@ -22,7 +22,7 @@ import numpy as np
 from .errors import BoundUndefined, VerificationFailure
 from .harness import quadratic_problem, run_oco, synthetic_problem
 from .numerics import l2_norm_columns
-from .optimizers import HyperParams, Schedule, beta1_at, fresh_state, step_amsgrad
+from .optimizers import HyperParams, Schedule, beta1_rule, fresh_state, step_amsgrad
 
 # Frozen values for the three-step sign-flip run (x1 = 1, comparator -1,
 # alpha = 0.001, beta1 = 0.9 with exp decay lambda = 0.001, beta2 = 0.999).
@@ -169,13 +169,12 @@ def check_counterexample():
 
 def beta1_sequence(h, T):
     """beta_{1,t} for t = 1..T as an array (entry t-1 holds step t)."""
-    # stays a scalar loop over beta1_at, whose values the stepper used:
-    # numpy's power is not bitwise equal to Python's ** (h.beta1 *
-    # h.lam ** (ts - 1) differs in 2406 of 50500 entries at beta1 = 0.9,
-    # lam = 0.999)
+    # built from the stepper's own scalar expressions: numpy's power is not
+    # bitwise equal to Python's ** (h.beta1 * h.lam ** (ts - 1) differs in
+    # 2406 of 50500 entries at beta1 = 0.9, lam = 0.999)
     if T < 1:
         raise ValueError("horizon must be >= 1")
-    return np.array([beta1_at(t, h) for t in range(1, T + 1)])
+    return np.fromiter(map(beta1_rule(h), range(1, T + 1)), dtype=np.float64, count=T)
 
 
 def _beta1_seq(beta1_seq, T):

@@ -7,7 +7,9 @@ is tracked per optimizer so the runtime budgets can be asserted against
 the share each criterion actually used.
 """
 
+import os
 import time
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +31,13 @@ def _record(criterion, ok, detail):
 @pytest.fixture
 def record():
     return _record
+
+
+def pytest_configure(config):
+    # the interpreters some tests start import the package from this
+    # checkout too, as the suite does through pyproject's pythonpath
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

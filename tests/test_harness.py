@@ -1,16 +1,23 @@
 """Problem construction, comparator oracles, and the regret loop."""
 
+import dataclasses
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 from scipy.special import expit
 
 from adamxlab import (FeasibleBox, HyperParams, NumericFault, ProblemInstance,
                       Schedule, average_regret, quadratic_problem, run_oco,
                       synthetic_problem, keyed, toy_training_problem)
-from adamxlab.harness import comparator_oracle
+from adamxlab.harness import RegretTrace, comparator_oracle
+from adamxlab.optimizers import SCALAR_MAX_DIM, STEPPERS
 from adamxlab.numerics import project_box
 
 H_REF = HyperParams(alpha=0.001, beta1=0.9, beta2=0.999, lam=0.001,
@@ -344,12 +351,15 @@ def test_memoized_logistic_oracle_matches_fresh_draws(seed):
     # the comparator first, before any minibatch has been drawn
     p = toy_training_problem(seed)
     np.testing.assert_array_equal(p.comparator_for(30), ref.comparator_for(30))
-    # then steps in descending and ascending order, past the comparator's horizon
+    # then steps in descending and ascending order, past the comparator's
+    # horizon, a cost first at odd t and a gradient first at even t
     p = toy_training_problem(seed)
     for t in [*range(40, 0, -1), *range(1, 41)]:
         for x in points:
-            assert p.cost(t, x) == ref.cost(t, x)
+            if t % 2:
+                assert p.cost(t, x) == ref.cost(t, x)
             np.testing.assert_array_equal(p.grad(t, x), ref.grad(t, x))
+            assert p.cost(t, x) == ref.cost(t, x)
     for T in (25, 40, 1):
         np.testing.assert_array_equal(p.comparator_for(T), ref.comparator_for(T))
     for x in points:
@@ -481,6 +491,154 @@ def test_run_accepts_finite_gradient_whose_sum_overflows():
     with np.errstate(over="ignore"):
         trace = run_oco(constant_problem([1e308, 1e308]), hold, H_REF, 3)
     np.testing.assert_array_equal(trace.gradient_history, np.full((3, 2), 1e308))
+
+
+# ------------------------------------- the run kernel against the step loop
+
+TRACE_FIELDS = [f.name for f in dataclasses.fields(RegretTrace)]
+
+
+def run_outcome(problem, stepper, h, T, **kwargs):
+    """Every field of the trace as bytes, or the type, message and step
+    of what the run raised."""
+    with np.errstate(all="ignore"):
+        try:
+            trace = run_oco(problem, stepper, h, T, **kwargs)
+        except (ValueError, NumericFault) as exc:
+            return type(exc), str(exc), getattr(exc, "step", None)
+    return [(name, value.dtype, value.shape, value.tobytes())
+            if isinstance(value, np.ndarray) else (name, value)
+            for name, value in ((f, getattr(trace, f)) for f in TRACE_FIELDS)]
+
+
+def run_both(problem, name, h, T, **kwargs):
+    """The outcome of a named run, checked to be that of the step loop."""
+    got = run_outcome(problem, name, h, T, **kwargs)
+    assert got == run_outcome(problem, STEPPERS[name], h, T, **kwargs)
+    return got
+
+
+@st.composite
+def run_cases(draw):
+    """A problem on a box that clamps, a named stepper, hyperparameters and
+    recording flags, at d = 1 to 17 (17 runs the step loop on both sides)."""
+    d = draw(st.integers(1, SCALAR_MAX_DIM + 1))
+
+    def vector(elements):
+        return np.array(draw(st.lists(elements, min_size=d, max_size=d)), dtype=float)
+
+    beta2 = draw(st.floats(0.5, 0.9999))
+    h = HyperParams(
+        alpha=draw(st.sampled_from([1e-3, 0.1, 3.0])),
+        beta1=draw(st.floats(0.0, min(0.99, math.sqrt(beta2)))),
+        beta2=beta2,
+        lam=draw(st.floats(1e-3, 0.999)),
+        schedule=draw(st.sampled_from(list(Schedule))),
+        epsilon=draw(st.sampled_from([0.0, 1e-8, 1.0])))
+    if d == 1 and draw(st.booleans()):
+        problem = synthetic_problem()
+    else:
+        lower = vector(st.sampled_from([-1.0, -0.5, 0.0]))
+        box = FeasibleBox(lower, lower + vector(st.sampled_from([0.0, 0.25, 1.0, 2.0])))
+        problem = quadratic_problem(draw(st.integers(0, 50)), d, box=box)
+    x1 = None
+    if draw(st.booleans()):
+        box = problem.box
+        x1 = box.lower + vector(st.sampled_from([0.0, 0.3, 1.0])) * (box.upper - box.lower)
+    kwargs = dict(x1=x1, record_full=draw(st.booleans()),
+                  record_iterates=draw(st.sampled_from([None, False, True])))
+    return problem, draw(st.sampled_from(sorted(STEPPERS))), h, draw(st.integers(1, 40)), kwargs
+
+
+@settings(max_examples=150, deadline=None)
+@given(run_cases())
+def test_named_run_is_bitwise_the_step_loop(case):
+    problem, name, h, T, kwargs = case
+    got = run_both(problem, name, h, T, **kwargs)
+    assert isinstance(got, list)
+
+
+def oracle_problem(d, grad, cost=lambda t, x: 0.0):
+    box = FeasibleBox.cube(-1.0, 1.0, d)
+    return ProblemInstance(d=d, cost=cost, grad=grad, box=box, g_inf=1.0,
+                           costs=lambda T, x: np.zeros(T),
+                           comparator_for=lambda T: np.zeros(d), name="oracle")
+
+
+def at_step(k, bad):
+    """A gradient oracle, from d, that returns ``bad(d)`` at step k and
+    0.5 in every coordinate at every other step."""
+    return lambda d: lambda t, x: bad(d) if t == k else np.full(d, 0.5)
+
+
+# each entry: (gradient oracle from d, cost oracle, the fault at d = 1, 5 and 17
+# as (message, step), or None for a run that completes)
+FAULTS = {
+    "inf-gradient": (at_step(3, lambda d: np.r_[np.zeros(d - 1), np.inf]), None,
+                     ("non-finite cost or gradient at step 3", 3)),
+    "nan-gradient": (at_step(3, lambda d: np.r_[np.zeros(d - 1), np.nan]), None,
+                     ("non-finite cost or gradient at step 3", 3)),
+    "inf-cost": (at_step(0, None), lambda t, x: math.inf if t == 3 else 0.0,
+                 ("non-finite cost or gradient at step 3", 3)),
+    # g * g overflows inside the v recursion
+    "overflowing-moment": (at_step(3, lambda d: np.r_[np.zeros(d - 1), 1e200]), None,
+                           ("non-finite v at step 3", 3)),
+    # v = 0.001 * (3e155)^2 = 9e307 is finite; only the fused sum overflows
+    "overflowing-sum": (at_step(3, lambda d: np.full(d, 3e155)), None, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STEPPERS))
+@pytest.mark.parametrize("case", FAULTS.values(), ids=FAULTS.keys())
+def test_named_run_faults_like_the_step_loop(case, name):
+    grad, cost, fault = case
+    for d in (1, 5, SCALAR_MAX_DIM + 1):
+        problem = oracle_problem(d, grad(d), cost or (lambda t, x: 0.0))
+        got = run_both(problem, name, H_REF, 6, record_full=True)
+        if fault is None:
+            assert isinstance(got, list)
+        else:
+            assert got == (NumericFault, *fault)
+
+
+# each entry maps d to what a gradient oracle returns: off-shape, or not float64
+ODD_GRADIENTS = {
+    "python-float": lambda d: 0.5,
+    "too-long": lambda d: np.ones(d + 1),
+    "row-matrix": lambda d: np.ones((1, d)),
+    "integers": lambda d: [1] * d,
+    # the run's own check comes first: a fault, not a broadcast error
+    "too-long-and-non-finite": lambda d: np.r_[np.ones(d), np.inf],
+}
+
+
+@pytest.mark.parametrize("g", ODD_GRADIENTS.values(), ids=ODD_GRADIENTS.keys())
+def test_named_run_takes_odd_gradients_like_the_step_loop(g):
+    for d in (1, 5):
+        got = run_both(oracle_problem(d, lambda t, x: g(d)), "adamx", H_REF, 4,
+                       record_full=True)
+        assert isinstance(got, list) or got[0] in (ValueError, NumericFault)
+
+
+# The corpus workload of perfbench runs these twelve specs per program seed
+# and keys their digests in the same way.
+BENCHMARK_REFS = Path(__file__).resolve().parents[1] / "perfbench" / "refs.json"
+
+
+def test_corpus_runs_match_benchmark_digests():
+    digests = json.loads(BENCHMARK_REFS.read_text())["digests"]
+    T, seed = 5000, 0
+    for schedule in (Schedule.EXP_DECAY, Schedule.INVERSE_T):
+        h = HyperParams(alpha=0.001, beta1=0.9, beta2=0.999, lam=0.001, schedule=schedule)
+        for kind, d in (("synthetic", 1), ("quadratic", 1), ("quadratic", 5)):
+            for optimizer in ("amsgrad", "adamx"):
+                problem = synthetic_problem() if kind == "synthetic" else quadratic_problem(seed, d)
+                trace = run_oco(problem, optimizer, h, T, record_full=True)
+                data = (np.ascontiguousarray(trace.final_x, dtype="<f8").tobytes()
+                        + np.ascontiguousarray(trace.cumulative_regret, dtype="<f8").tobytes())
+                key = (f"{kind}:{None if kind == 'synthetic' else seed}:{d}:"
+                       f"{schedule.value}:{optimizer}:{T}")
+                assert hashlib.sha256(data).hexdigest() == digests[key], key
 
 
 def test_regret_is_cumsum_of_loss_gaps():

@@ -15,12 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adamxlab import (FeasibleBox, HyperParams, NumericFault, Schedule,
-                      beta1_at, fresh_state, resolve_stepper, run_oco,
-                      step_adam, step_adamx, step_amsgrad, synthetic_problem)
+                      beta1_at, beta1_sequence, fresh_state, quadratic_problem,
+                      resolve_stepper, run_oco, step_adam, step_adamx, step_amsgrad,
+                      synthetic_problem)
+from adamxlab import optimizers
 from adamxlab.numerics import project_box
 from adamxlab.optimizers import (SCALAR_MAX_DIM, STEPPERS, OptimizerState, _array_step,
                                  _raw, _rescaled_max, _running_max, _scalar_step,
-                                 _step, alpha_at)
+                                 _step, alpha_at, run_scalar)
 
 H_REF = HyperParams(alpha=0.001, beta1=0.9, beta2=0.999, lam=0.001,
                     schedule=Schedule.EXP_DECAY)
@@ -451,3 +453,44 @@ def test_run_oco_agrees_with_manual_stepping():
         g = p.grad(t, state.x)
         state = step_amsgrad(state, g, H_REF, p.box)
         assert np.array_equal(trace.iterates[t], state.x)
+
+
+# ------------------------------------------------------------ run kernel
+
+@pytest.mark.parametrize("schedule", list(Schedule))
+def test_run_kernel_beta1_is_beta1_sequence(schedule):
+    # lam = 0.999 keeps beta1_t away from zero over the whole horizon, where
+    # numpy's power would differ from Python's ** in the last bit
+    h = HyperParams(alpha=0.001, beta1=0.9, beta2=0.999, lam=0.999, schedule=schedule)
+    p, T = synthetic_problem(), 50500
+    losses, grads, m_hist = np.empty(T), np.empty((T, 1)), np.empty((T, 1))
+    state = run_scalar(_raw, p.grad, p.cost, h, p.box, p.x1, losses, grads,
+                       m_hist=m_hist, v_hist=np.empty((T, 1)), vhat_hist=np.empty((T, 1)))
+    seq = beta1_sequence(h, T)
+    # the schedules written out once more, as the reference
+    written = {Schedule.CONSTANT: lambda t: 0.9,
+               Schedule.EXP_DECAY: lambda t: 0.9 * 0.999 ** (t - 1),
+               Schedule.INVERSE_T: lambda t: 0.9 / t}[schedule]
+    assert seq.tobytes() == np.array([written(t) for t in range(1, T + 1)]).tobytes()
+    assert state.t == T and state.beta1_prev == seq[-1]
+    m_prev = np.r_[0.0, m_hist[:-1, 0]]
+    assert np.array_equal(m_hist[:, 0], seq * m_prev + (1.0 - seq) * grads[:, 0])
+
+
+def test_named_run_builds_no_state_per_step(monkeypatch):
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(kwargs.get("t"))
+        return OptimizerState(*args, **kwargs)
+
+    monkeypatch.setattr(optimizers, "OptimizerState", counting)
+    T = 50
+    for d in (1, SCALAR_MAX_DIM):
+        built.clear()
+        run_oco(quadratic_problem(1, d), "adamx", H_REF, T, record_full=True)
+        assert built == [T]
+    # the counter sees the step loop's states: the fresh one and one per step
+    built.clear()
+    run_oco(quadratic_problem(1, SCALAR_MAX_DIM), step_adamx, H_REF, T)
+    assert len(built) == T + 1
