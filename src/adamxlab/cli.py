@@ -1,8 +1,8 @@
 """Command-line front end: run experiments, verify guarantees, plot traces.
 
 Exit codes: 0 success, 1 a verification check failed, 2 usage or
-configuration error or an output file that cannot be written, 3 numeric
-fault during a run.
+configuration error, a run too large to allocate or an output file that
+cannot be written, 3 numeric fault during a run.
 
 ``run`` writes one CSV row per step with the post-update iterate, so
 row t carries x_{t+1}; floats are serialized with repr, the shortest
@@ -40,6 +40,12 @@ EXIT_NUMERIC = 3
 
 
 _TYPE_NAMES = {int: "an integer", float: "a number"}
+
+# The largest array a run allocates is its (steps + 1) x d float64 iterate
+# history, and numpy sizes no array of more than sys.maxsize bytes.
+_MAX_CELLS = sys.maxsize // 8
+# the quadratic problem takes its dimension from the config; the others fix it
+_FIXED_DIMS = {"synthetic": 1, "logistic": 3}
 
 
 def _type_ok(kind, value):
@@ -90,7 +96,13 @@ class ExperimentConfig:
             raise ValueError("dim must be ≥ 1")
         if self.seed < 0:
             raise ValueError("seed must be ≥ 0")
+        if (self.steps + 1) * self.problem_dim() > _MAX_CELLS:
+            raise ValueError(f"steps={self.steps} and dim={self.problem_dim()} are too large: "
+                             f"(steps + 1) * dim must not exceed {_MAX_CELLS}")
         self.hyperparams()
+
+    def problem_dim(self):
+        return _FIXED_DIMS.get(self.problem, self.dim)
 
     def hyperparams(self):
         return HyperParams(alpha=self.alpha, beta1=self.beta1, beta2=self.beta2,
@@ -205,6 +217,9 @@ def _execute_run(config):
                         config.steps, record_iterates=True)
     except NumericFault as err:
         return EXIT_NUMERIC, f"numeric fault at step {err.step}: {err}", None
+    except MemoryError:
+        return (EXIT_USAGE, f"run too large to allocate: steps={config.steps}, "
+                            f"dim={config.problem_dim()}", None)
     return EXIT_OK, _summary_line(trace), trace
 
 

@@ -1,6 +1,6 @@
 """Projected adaptive-moment steps and their momentum schedules.
 
-All three optimizers take the same step, ``_step``:
+All three optimizers take the same step:
 
     m_t = beta1_t * m_{t-1} + (1 - beta1_t) * g_t
     v_t = beta2   * v_{t-1} + (1 - beta2)   * g_t^2
@@ -18,54 +18,48 @@ v_t into the denominator surrogate v_hat_t:
 
 A rule maps (t, beta1_t, beta1_{t-1}) to the weight w of v_hat_{t-1} in
 max(w * v_hat_{t-1}, v_t), or to None when v_hat_t is v_t; amsgrad's
-w = 1.0 leaves v_hat_{t-1} bitwise unchanged. ``step_adam``,
-``step_amsgrad`` and ``step_adamx`` bind ``_step`` to one rule each. The
-gradient passed in must have been taken at the state's current iterate;
-the returned state carries the post-update iterate together with the
-moments of step t. A non-finite m, v, v_hat or iterate raises
-NumericFault naming the quantity and the step. beta1_t comes from
+w = 1.0 leaves v_hat_{t-1} bitwise unchanged. beta1_t comes from
 ``beta1_rule``, the only place the schedules are written out.
 
-``_step`` has two kernels. Up to ``SCALAR_MAX_DIM`` = 16 coordinates,
-``_scalar_step`` runs the step coordinate by coordinate on Python floats,
-in ``_coordinates``, and builds the four result vectors with one
-``np.array`` call; above that, ``_array_step`` runs it on numpy arrays.
-On small vectors a dozen numpy calls cost far more than the arithmetic:
-timed on a 2-vCPU Xeon with Python 3.11 and numpy 2.4, an amsgrad step
-took 3.8 us scalar against 12.4 us numpy at d = 1, 6.3 against 12.6 at
-d = 5 and 12.1 against 12.9 at d = 16, while numpy won from d = 20 on
-(14.3 against 13.2).
-The scalar kernel is bitwise equal to the numpy one: Python's float
-+ - * / are IEEE-754 binary64 operations rounded to nearest, as numpy's
-elementwise ufuncs are, and ``math.sqrt`` is correctly rounded, as
-``np.sqrt`` is, so evaluating every expression in the same order (for
-instance ((1 - beta2) * g) * g) gives the same bits. Where numpy and
-Python differ, the kernel follows numpy: np.maximum and np.minimum
-return their second argument on a tie (which decides the sign of a zero)
-and NaN if either argument is NaN; the square root of a negative is NaN,
-not an error; a zero denominator is tested before dividing. A step whose
-finiteness sum is not finite is handed to ``_array_step``, so both kernels
-raise the same fault. ``tests/test_optimizers.py`` checks the two against
-each other byte for byte.
+The step is written twice. ``_array_step`` runs it on numpy arrays:
+``step_adam``, ``step_amsgrad`` and ``step_adamx`` bind it to one rule
+each, and it is the reference. The gradient passed in must have been
+taken at the state's current iterate; the returned state carries the
+post-update iterate together with the moments of step t. A non-finite m,
+v, v_hat or iterate raises NumericFault naming the quantity and the step.
 
-``run_scalar`` is the run kernel: ``harness.run_oco`` hands it the whole
-run when it is given a stepper name and the problem has at most
-SCALAR_MAX_DIM coordinates. It carries x, m, v and v_hat as lists of
-floats from step to step and calls ``_coordinates`` once a step, so the
-per-step checks, ``tolist`` calls and ``OptimizerState`` of a step
+``run_scalar`` runs a whole run on Python floats: ``harness.run_oco``
+hands it the run when it is given a stepper name and the problem has at
+most ``SCALAR_MAX_DIM`` = 16 coordinates. It carries x, m, v and v_hat as
+lists of floats from step to step and calls ``_coordinates`` once a step,
+so the per-step checks, ``tolist`` calls and ``OptimizerState`` of a step
 function are paid once a run; histories are written row by row into the
 caller's arrays. A step function (perfbench's traced passes hand
-``run_oco`` a wrapped one) or a wider problem runs one step call per
-round. Both give the same bytes and the same faults, which
-``tests/test_harness.py`` checks. On the same machine, over ten
-alternating untraced pairs of the perfbench corpus workload (seed 5501,
-25 s runs), the kernel took the median ``wall_s`` from 1.19 to 0.66 s
-(-44 %, faster in 10 of 10 pairs).
+``run_oco`` a wrapped one) or a wider problem runs one ``_array_step``
+call per round. On quadratic runs of 2000 steps with full histories
+(2-vCPU Xeon, Python 3.11, numpy 2.4, medians of 15 runs in two
+sessions) the run kernel took 12-17 us a step against 41-45 for the step
+loop at d = 8 and 27-31 against 43-47 at d = 16, while the loop won at
+d = 32 (32-41 against 40-46) and d = 64 (27-33 against 50-62).
 
-Coordinates whose denominator is exactly zero (possible only when every
-gradient seen so far vanished there, which forces m = 0 too) take a zero
-update; with the default eps = 0 this resolves 0/0 to the limit of the
-true update and preserves the 16-digit reference trajectories.
+The two are bitwise equal: Python's float + - * / are IEEE-754 binary64
+operations rounded to nearest, as numpy's ufuncs are, ``math.sqrt`` is
+correctly rounded, as ``np.sqrt`` is, and every expression is evaluated
+in the same order (for instance ((1 - beta2) * g) * g). ``_coordinates``
+keeps numpy's tie rule for the maximum and the clamp, which return their
+second argument (deciding the sign of a zero, as for x_1 = -0.0 on a
+lower bound of 0.0), and needs no other of numpy's rules: in a run from a
+fresh start v and v_hat are finite and at least +0.0, and a NaN or
+infinity makes the step's fused finiteness sum non-finite. Such a step is
+re-run by ``check_oracle`` and ``_array_step``, which raise the step
+functions' fault or, if the sum merely overflowed, return the same step.
+``tests/test_harness.py`` holds named runs byte-equal to the step loop,
+faults included.
+
+A zero denominator gives its coordinate a zero update: where every
+gradient so far vanished (m = 0 too; with the default eps = 0 this is the
+limit of the true update and keeps the 16-digit reference trajectories),
+or where g_t^2 underflows, as for g_t = 1e-170.
 """
 
 import math
@@ -78,8 +72,8 @@ import numpy as np
 from .errors import NumericFault
 from .numerics import as_vector
 
-# Up to this many coordinates a step runs on Python floats: there a
-# dozen numpy calls on tiny arrays cost more than the arithmetic itself.
+# Up to this many coordinates a named run runs on Python floats: there a
+# dozen numpy calls a step on tiny arrays cost more than the arithmetic.
 SCALAR_MAX_DIM = 16
 
 
@@ -207,10 +201,15 @@ def check_oracle(t, loss, g):
         raise NumericFault(f"non-finite cost or gradient at step {t}", step=t)
 
 
-def _begin(state, g, h, box, rule):
-    """Checks and scalars shared by both kernels: the float64 gradient,
-    the step index t, beta1_t and the rule's weight on v_hat_{t-1}
-    (None when v_hat_t is v_t)."""
+def _array_step(state, g, h, box, rule):
+    """The step on numpy arrays: what the step functions run, and the
+    reference ``run_scalar`` is tested against.
+
+    One sum over m + v + v_hat + z (z the pre-clamp iterate) is non-finite
+    whenever any entry is; only then are ``g`` (ValueError) and each
+    quantity (NumericFault) checked one by one, so a sum that merely
+    overflowed over finite entries raises nothing.
+    """
     x = state.x
     g = np.asarray(g, dtype=np.float64)
     if g.shape != x.shape:
@@ -219,26 +218,14 @@ def _begin(state, g, h, box, rule):
         raise ValueError(f"dimension mismatch: expected {box.dim}, got {x.shape[0]}")
     t = state.t + 1
     b1 = beta1_at(t, h)
-    return g, t, b1, rule(t, b1, state.beta1_prev)
-
-
-def _array_step(state, g, h, box, rule):
-    """The step on numpy arrays: used above SCALAR_MAX_DIM coordinates,
-    and the reference the scalar kernel is tested against.
-
-    One sum over m + v + v_hat + z (z the pre-clamp iterate) is non-finite
-    whenever any entry is; only then are ``g`` (ValueError) and each
-    quantity (NumericFault) checked one by one, so a sum that merely
-    overflowed over finite entries raises nothing.
-    """
-    g, t, b1, w = _begin(state, g, h, box, rule)
+    w = rule(t, b1, state.beta1_prev)
     m = b1 * state.m + (1.0 - b1) * g
     v = h.beta2 * state.v + (1.0 - h.beta2) * g * g
     v_hat = v.copy() if w is None else np.maximum(w * state.v_hat, v)
     denom = np.sqrt(v_hat) + h.epsilon
     update = np.zeros_like(m)
     np.divide(m, denom, out=update, where=denom > 0.0)
-    z = state.x - alpha_at(t, h) * update
+    z = x - alpha_at(t, h) * update
     if not math.isfinite((m + v + v_hat + z).sum()):
         as_vector(g)
         for name, arr in (("m", m), ("v", v), ("v_hat", v_hat), ("x", z)):
@@ -249,25 +236,21 @@ def _array_step(state, g, h, box, rule):
 
 
 def _coordinates(xs, ms, vs, vhs, gs, lows, ups, b1, w, beta2, a, eps):
-    """The step coordinate by coordinate on lists of Python floats, bitwise
-    equal to ``_array_step``: the same operations in the same order,
-    numpy's maximum/minimum rules (NaN wins, a tie gives the second
-    argument) and NaN for the root of a negative. ``w`` is the rule's
-    weight and ``a`` = alpha_t. Returns the new x, m, v and v_hat lists and
-    the fused finiteness sum of m + v + v_hat + z (z the pre-clamp iterate)."""
+    """One step of a run coordinate by coordinate on lists of Python floats,
+    bitwise equal to ``_array_step`` on the states a run reaches: the same
+    operations in the same order, and numpy's tie rule for the maximum and
+    the clamp (a tie gives the second argument, which decides the sign of
+    a zero). ``w`` is the rule's weight and ``a`` = alpha_t. Returns the new
+    x, m, v and v_hat lists and the fused finiteness sum of
+    m + v + v_hat + z (z the pre-clamp iterate)."""
     c1, c2 = 1.0 - b1, 1.0 - beta2
     nxs, nms, nvs, nvhs = [], [], [], []
     total = 0.0
     for xp, mp, vp, vhp, gi, lo, up in zip(xs, ms, vs, vhs, gs, lows, ups):
         m = b1 * mp + c1 * gi
         v = beta2 * vp + c2 * gi * gi
-        if w is None:
-            vh = v
-        else:
-            vh = w * vhp
-            if not (vh > v or vh != vh):
-                vh = v
-        den = (math.sqrt(vh) if vh >= 0.0 else math.nan) + eps
+        vh = v if w is None or not w * vhp > v else w * vhp
+        den = math.sqrt(vh) + eps
         z = xp - a * (m / den if den > 0.0 else 0.0)
         total += m + v + vh + z
         y = z if z > lo else lo
@@ -278,31 +261,6 @@ def _coordinates(xs, ms, vs, vhs, gs, lows, ups, b1, w, beta2, a, eps):
     return nxs, nms, nvs, nvhs, total
 
 
-def _scalar_step(state, g, h, box, rule):
-    """``_coordinates`` on one state. When the fused finiteness sum is not
-    finite, the step is re-run by ``_array_step``, which raises the fault
-    or, if the sum merely overflowed, returns this same result."""
-    g, t, b1, w = _begin(state, g, h, box, rule)
-    xs, ms, vs, vhs, total = _coordinates(
-        state.x.tolist(), state.m.tolist(), state.v.tolist(), state.v_hat.tolist(),
-        g.tolist(), box.lower.tolist(), box.upper.tolist(),
-        b1, w, h.beta2, alpha_at(t, h), h.epsilon)
-    if not math.isfinite(total):
-        return _array_step(state, g, h, box, rule)
-    d = len(xs)
-    block = np.array(xs + ms + vs + vhs)
-    return OptimizerState(x=block[:d], m=block[d:2 * d], v=block[2 * d:3 * d],
-                          v_hat=block[3 * d:], t=t, beta1_prev=b1)
-
-
-def _step(state, g, h, box, rule):
-    """One projected step with the v_hat rule ``rule``, by the scalar
-    kernel up to SCALAR_MAX_DIM coordinates and by numpy above."""
-    if state.x.shape[0] <= SCALAR_MAX_DIM:
-        return _scalar_step(state, g, h, box, rule)
-    return _array_step(state, g, h, box, rule)
-
-
 def _rows(hist):
     """A flat float64 view of a C-contiguous history array, or None."""
     return None if hist is None else memoryview(hist).cast("B").cast("d")
@@ -310,8 +268,8 @@ def _rows(hist):
 
 def run_scalar(rule, grad, cost, h, box, x1, losses, grads,
                iterates=None, m_hist=None, v_hist=None, vhat_hist=None):
-    """A whole run of ``len(losses)`` steps on at most SCALAR_MAX_DIM
-    coordinates, carried on lists of Python floats from step to step.
+    """A whole run of ``len(losses)`` steps from a fresh state at ``x1``, on
+    at most SCALAR_MAX_DIM coordinates, carried on lists of Python floats.
 
     Step t evaluates ``grad`` and ``cost`` at x_t, then runs
     ``_coordinates``. It writes the loss and the gradient, and into each
@@ -321,7 +279,8 @@ def run_scalar(rule, grad, cost, h, box, x1, losses, grads,
     fused finiteness sum (with the loss) is not finite is checked as
     ``check_oracle`` and ``_array_step`` check it, on a rebuilt state, so
     it raises the same fault as the step functions or, if the sum merely
-    overflowed, goes on with their result. Returns the final state.
+    overflowed, goes on with their result, so a run keeps only steps of
+    ``_coordinates`` whose entries are all finite. Returns the final state.
     """
     d, T = x1.shape[0], losses.shape[0]
     xs, lows, ups = x1.tolist(), box.lower.tolist(), box.upper.tolist()
@@ -369,17 +328,17 @@ def run_scalar(rule, grad, cost, h, box, x1, losses, grads,
 
 def step_adam(state, g, h, box):
     """One step with the raw second moment as denominator."""
-    return _step(state, g, h, box, _raw)
+    return _array_step(state, g, h, box, _raw)
 
 
 def step_amsgrad(state, g, h, box):
     """One step with the running-maximum denominator."""
-    return _step(state, g, h, box, _running_max)
+    return _array_step(state, g, h, box, _running_max)
 
 
 def step_adamx(state, g, h, box):
     """One step with the rescaled-maximum denominator."""
-    return _step(state, g, h, box, _rescaled_max)
+    return _array_step(state, g, h, box, _rescaled_max)
 
 
 STEPPERS = {

@@ -97,6 +97,11 @@ def _ratio(lhs, rhs):
     return rhs / lhs if lhs > 0.0 else math.inf
 
 
+def _check_name(name, label):
+    """A report's check name: ``name``, qualified by ``label`` when given."""
+    return f"{name}[{label}]" if label else name
+
+
 def reproduce_counterexample(comparator=-1.0, tol=_GOLDEN_TOL):
     """Replay the two-step sign-flip run and return [(t, delta_t, sign)].
 
@@ -185,6 +190,14 @@ def _beta1_seq(beta1_seq, T):
     return seq
 
 
+def _scaled_vhat(vhat, seq):
+    """sqrt(t * vhat_t)/(1 - beta_{1,t}) for t = 1..len(seq), one column per
+    coordinate: the terms whose step-to-step differences Gamma_t the
+    telescoping step of the regret proofs needs to be nonnegative."""
+    ts = np.arange(1, len(seq) + 1, dtype=np.float64)[:, None]
+    return np.sqrt(ts * vhat) / (1.0 - seq)[:, None]
+
+
 def find_t0(h, vhat_history, T):
     """Smallest t0 past which sqrt(t*vhat_t)/(1-beta_{1,t}) is nondecreasing.
 
@@ -202,8 +215,7 @@ def find_t0(h, vhat_history, T):
     if vh.shape[0] < T:
         raise ValueError(f"history has {vh.shape[0]} rows, need {T}")
 
-    ts = np.arange(1, T + 1, dtype=np.float64)[:, None]
-    scaled = np.sqrt(ts * vh[:T]) / (1.0 - beta1_sequence(h, T))[:, None]
+    scaled = _scaled_vhat(vh[:T], beta1_sequence(h, T))
     fails = np.flatnonzero((scaled[1:] < scaled[:-1]).any(axis=1))
     return int(fails[-1]) + 2 if fails.size else 1
 
@@ -314,7 +326,7 @@ def check_regret_bound(trace, bound, label=""):
     """Measured R(T) against a computed bound; slack is the looseness ratio."""
     lhs = float(trace.cumulative_regret[-1])
     rhs = float(bound)
-    name = f"regret_bound[{label}]" if label else "regret_bound"
+    name = _check_name("regret_bound", label)
     return CheckReport(check=name, status=_status(lhs <= rhs),
                        lhs=lhs, rhs=rhs, slack=_ratio(lhs, rhs))
 
@@ -338,7 +350,7 @@ def check_sum_lemma(trace, ctx, label=""):
     rhs = coeff * np.asarray(ctx.grad_col_norms, dtype=np.float64)
     worst = int(np.argmax(lhs - rhs))
     ok = bool(np.all(lhs <= rhs + 1e-9))
-    name = f"sum_lemma[{label}]" if label else "sum_lemma"
+    name = _check_name("sum_lemma", label)
     return CheckReport(check=name, status=_status(ok),
                        lhs=float(lhs[worst]), rhs=float(rhs[worst]),
                        slack=_ratio(float(lhs[worst]), float(rhs[worst])))
@@ -360,7 +372,7 @@ def check_adamx_vhat_closed_form(trace, beta1_seq, label=""):
     worst = float(np.fmax.reduce(peaks, initial=0.0))
     over = np.flatnonzero(peaks > 1e-12)
     t_failed = int(over[0]) + 1 if over.size else None
-    name = f"adamx_vhat_closed_form[{label}]" if label else "adamx_vhat_closed_form"
+    name = _check_name("adamx_vhat_closed_form", label)
     return CheckReport(check=name, status=_status(worst <= 1e-12),
                        lhs=worst, rhs=1e-12, slack=worst, t_failed=t_failed)
 
@@ -372,7 +384,7 @@ def check_vhat_bound(trace, g_inf, beta1=None, label=""):
     lhs = float(np.sqrt(np.max(trace.vhat_history)))
     rhs = g_inf if beta1 is None else g_inf / (1.0 - beta1)
     suffix = "sqrt_vhat_le_gmax" if beta1 is None else "sqrt_vhat_le_gmax_scaled"
-    name = f"{suffix}[{label}]" if label else suffix
+    name = _check_name(suffix, label)
     return CheckReport(check=name, status=_status(lhs <= rhs + 1e-9),
                        lhs=lhs, rhs=float(rhs), slack=_ratio(lhs, float(rhs)))
 
@@ -387,7 +399,7 @@ def check_adamx_scaled_monotonicity(trace, beta1_seq, label=""):
     bad = scaled[1:] < scaled[:-1] - tol
     t_failed = int(np.argwhere(bad.any(axis=1))[0][0]) + 2 if bad.any() else None
     worst = float(np.min(scaled[1:] - scaled[:-1])) if trace.T > 1 else 0.0
-    name = f"adamx_scaled_monotonicity[{label}]" if label else "adamx_scaled_monotonicity"
+    name = _check_name("adamx_scaled_monotonicity", label)
     return CheckReport(check=name, status=_status(not bad.any()),
                        lhs=worst, rhs=0.0, slack=worst, t_failed=t_failed)
 
@@ -400,15 +412,13 @@ def check_telescoping_positivity(trace, beta1_seq, label=""):
     """
     if trace.vhat_history is None:
         raise ValueError("vhat history required; run with record_full")
-    seq = _beta1_seq(beta1_seq, trace.T)
-    ts = np.arange(1, trace.T + 1, dtype=np.float64)[:, None]
-    terms = np.sqrt(ts * trace.vhat_history) / (1.0 - seq)[:, None]
+    terms = _scaled_vhat(trace.vhat_history, _beta1_seq(beta1_seq, trace.T))
     prev = np.vstack([np.zeros((1, terms.shape[1])), terms[:-1]])
     tol = 1e-9 * np.maximum(1.0, prev)
     bad = terms < prev - tol
     t_failed = int(np.argwhere(bad.any(axis=1))[0][0]) + 1 if bad.any() else None
     worst = float(np.min(terms - prev))
-    name = f"telescoping_positivity[{label}]" if label else "telescoping_positivity"
+    name = _check_name("telescoping_positivity", label)
     return CheckReport(check=name, status=_status(not bad.any()),
                        lhs=worst, rhs=0.0, slack=worst, t_failed=t_failed)
 
@@ -450,7 +460,7 @@ def check_decomposition(trace, h, label=""):
     lhs = float(trace.cumulative_regret[-1])
     rhs = a + b + c
     ok = lhs <= rhs + 1e-9 * max(1.0, abs(rhs))
-    name = f"regret_decomposition[{label}]" if label else "regret_decomposition"
+    name = _check_name("regret_decomposition", label)
     return CheckReport(check=name, status=_status(ok),
                        lhs=lhs, rhs=rhs, slack=_ratio(lhs, rhs))
 
@@ -488,7 +498,7 @@ def _bounds_suite(h=None):
                     else:
                         bound = bound_adamx(ctx, beta1_sequence(hh, T))
                 except BoundUndefined as err:
-                    reports.append(CheckReport(check=f"regret_bound[{label}]",
+                    reports.append(CheckReport(check=_check_name("regret_bound", label),
                                                status="fail", note=str(err)))
                     continue
                 reports.append(check_regret_bound(trace, bound, label=label))
@@ -517,7 +527,7 @@ def _lemmas_suite(h=None):
                 ctx = BoundContext.from_run(trace, problem, hh)
                 reports.append(check_sum_lemma(trace, ctx, label=label))
             except BoundUndefined as err:
-                reports.append(CheckReport(check=f"sum_lemma[{label}]",
+                reports.append(CheckReport(check=_check_name("sum_lemma", label),
                                            status="fail", note=str(err)))
             reports.append(check_decomposition(trace, hh, label=label))
     return reports

@@ -135,6 +135,9 @@ def test_config_missing_file(tmp_path, capsys):
     ({"alpha": 10 ** 400}, "alpha must be a number"),
     ({"optimizer": 3}, "optimizer must be a string, got 3"),
     ({"seed": -1, "problem": "logistic"}, "seed must be ≥ 0"),
+    # histories numpy cannot size, rejected before anything is allocated
+    ({"steps": 10 ** 23}, f"steps={10 ** 23} and dim=1 are too large"),
+    ({"problem": "quadratic", "dim": 10 ** 23}, f"steps=1000 and dim={10 ** 23} are too large"),
 ])
 def test_config_rejects_ill_typed_values(tmp_path, capsys, entry, message):
     cfg = tmp_path / "cfg.json"
@@ -545,6 +548,53 @@ def test_batch_unwritable_entry_fails_alone(tmp_path, capsys, monkeypatch):
     assert len(out.strip().splitlines()) == 2
     assert good_a.exists() and good_b.exists()
     assert err.strip() == f"cannot write {bad}: No such file or directory"
+
+
+def test_history_size_limit_counts_the_problem_dimension():
+    limit = sys.maxsize // 8
+    ExperimentConfig(steps=limit - 1).validate()
+    with pytest.raises(ValueError, match="too large"):
+        ExperimentConfig(steps=limit).validate()
+    # the logistic problem has three coordinates whatever dim says
+    ExperimentConfig(problem="logistic", steps=limit // 3 - 1, dim=10 ** 23).validate()
+    with pytest.raises(ValueError, match="dim=3 are too large"):
+        ExperimentConfig(problem="logistic", steps=limit // 3).validate()
+
+
+def oversized_run_oco(monkeypatch, limit):
+    """Make a run of more than ``limit`` steps raise MemoryError, as numpy
+    does when it cannot allocate the histories, without allocating them."""
+    from adamxlab import cli
+
+    def guarded(problem, stepper, h, T, **kwargs):
+        if T > limit:
+            raise MemoryError
+        return run_oco(problem, stepper, h, T, **kwargs)
+
+    monkeypatch.setattr(cli, "run_oco", guarded)
+
+
+def test_run_too_large_to_allocate_exits_2(capsys, monkeypatch):
+    oversized_run_oco(monkeypatch, 1000)
+    code, out, err = run_cli(["run", "--steps", "1000000000000"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "run too large to allocate: steps=1000000000000, dim=1\n"
+
+
+def test_batch_entry_too_large_to_allocate_fails_alone(tmp_path, capsys, monkeypatch):
+    oversized_run_oco(monkeypatch, 1000)
+    big, small = tmp_path / "big.csv", tmp_path / "small.csv"
+    cfg = tmp_path / "batch.json"
+    cfg.write_text(json.dumps([
+        {"problem": "quadratic", "dim": 4, "steps": 10 ** 12, "output_path": str(big)},
+        {"steps": 3, "output_path": str(small)},
+    ]))
+    code, out, err = run_cli(["run", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert err == f"run too large to allocate: steps={10 ** 12}, dim=4\n"
+    assert len(out.strip().splitlines()) == 1
+    assert not big.exists() and small.exists()
 
 
 def test_output_probe_keeps_files_when_the_run_faults(tmp_path, capsys):

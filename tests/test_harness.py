@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 from scipy.special import expit
@@ -16,8 +16,9 @@ from scipy.special import expit
 from adamxlab import (FeasibleBox, HyperParams, NumericFault, ProblemInstance,
                       Schedule, average_regret, quadratic_problem, run_oco,
                       synthetic_problem, keyed, toy_training_problem)
+from adamxlab import cli, harness
 from adamxlab.harness import RegretTrace, comparator_oracle
-from adamxlab.optimizers import SCALAR_MAX_DIM, STEPPERS
+from adamxlab.optimizers import SCALAR_MAX_DIM, STEPPERS, run_scalar
 from adamxlab.numerics import project_box
 
 H_REF = HyperParams(alpha=0.001, beta1=0.9, beta2=0.999, lam=0.001,
@@ -620,13 +621,94 @@ def test_named_run_takes_odd_gradients_like_the_step_loop(g):
         assert isinstance(got, list) or got[0] in (ValueError, NumericFault)
 
 
-# The corpus workload of perfbench runs these twelve specs per program seed
-# and keys their digests in the same way.
+# Gradient entries at the edges of float arithmetic: signed zeros, the
+# smallest subnormals, squares that underflow (1e-170) or overflow (1e200), a
+# finite v whose fused finiteness sum overflows (3e155), and non-finite ones.
+EDGE_G = [0.0, -0.0, 5e-324, -5e-324, 1e-170, -1e-170, 1e200, 3e155, math.inf, math.nan]
+
+
+def edge_case(lower, upper, x1, grads, h=H_REF, **kwargs):
+    """A run of len(grads) steps from ``x1`` on the box [lower, upper] whose
+    step-t gradient is ``grads[t - 1]``, as (problem, h, T, run_oco kwargs)."""
+    lower = np.array(lower, dtype=float)
+    grads = [np.array(g, dtype=float) for g in grads]
+    problem = ProblemInstance(d=len(lower), cost=lambda t, x: 0.0,
+                              grad=lambda t, x: grads[t - 1],
+                              box=FeasibleBox(lower, np.array(upper, dtype=float)),
+                              g_inf=1.0, costs=lambda T, x: np.zeros(T),
+                              comparator_for=lambda T: lower.copy(), name="edge")
+    return problem, h, len(grads), dict(x1=np.array(x1, dtype=float), **kwargs)
+
+
+@st.composite
+def edge_runs(draw):
+    """Edge gradients on boxes with signed-zero bounds and degenerate
+    coordinates, from starts with signed zeros, at d = 1 to 17, with alpha up
+    to 1e308 and every schedule and epsilon."""
+    d = draw(st.integers(1, SCALAR_MAX_DIM + 1))
+
+    def vector(elements):
+        return np.array(draw(st.lists(elements, min_size=d, max_size=d)), dtype=float)
+
+    beta2 = draw(st.floats(0.5, 0.9999))
+    h = HyperParams(
+        alpha=draw(st.one_of(st.sampled_from([1e-3, 3.0, 1e308]), st.floats(1e-3, 1e308))),
+        beta1=draw(st.floats(0.0, math.sqrt(beta2))),
+        beta2=beta2,
+        lam=draw(st.floats(1e-3, 0.999)),
+        schedule=draw(st.sampled_from(list(Schedule))),
+        epsilon=draw(st.sampled_from([0.0, 1e-8, 1.0])))
+    lower = vector(st.sampled_from([0.0, -0.0, -1.0, -0.5, 2.0]))
+    width = vector(st.sampled_from([0.0, 0.25, 1.0, 2.0]))
+    # a degenerate coordinate keeps the sign of its lower bound's zero
+    upper = np.where(width == 0.0, lower, lower + width)
+    # a start equal to its projection keeps its sign, so -0.0 can sit on a
+    # bound of 0.0, where the clamp's tie rule decides the sign of the result
+    raw = vector(st.sampled_from([-0.0, 0.0, 0.3, -0.7, 2.1]))
+    x1 = project_box(raw, FeasibleBox(lower, upper))
+    entries = st.one_of(st.sampled_from(EDGE_G), st.floats(-1e3, 1e3))
+    grads = [vector(entries) for _ in range(draw(st.integers(1, 8)))]
+    return edge_case(lower, upper, np.where(x1 == raw, raw, x1), grads, h,
+                     record_full=draw(st.booleans()),
+                     record_iterates=draw(st.sampled_from([None, False, True])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_runs())
+# clamp ties at signed-zero bounds: -0.0 on a lower or upper bound of 0.0,
+# and 0.0 on a lower bound of -0.0
+@example(edge_case([0.0], [1.0], [-0.0], [[0.0]] * 3))
+@example(edge_case([-1.0], [0.0], [-0.0], [[0.0]] * 3))
+@example(edge_case([-0.0], [1.0], [0.0], [[0.0]] * 3))
+# (1e-170)^2 underflows, so the denominator is zero while m is not
+@example(edge_case([-1.0, 0.0], [1.0, 1.0], [0.5, -0.0], [[1e-170, 0.0]] * 3,
+                   record_full=True))
+def test_named_run_is_bitwise_the_step_loop_on_edge_gradients(case):
+    problem, h, T, kwargs = case
+    for name in sorted(STEPPERS):
+        run_both(problem, name, h, T, **kwargs)
+
+
+# The digests every perfbench pass is checked against. The corpus workload
+# runs the twelve specs below per program seed and keys their digests the
+# same way.
 BENCHMARK_REFS = Path(__file__).resolve().parents[1] / "perfbench" / "refs.json"
 
 
+def benchmark_digests():
+    return json.loads(BENCHMARK_REFS.read_text())["digests"]
+
+
+def run_digest(trace):
+    """SHA-256 of a run's final iterate and cumulative-regret bytes, as the
+    benchmark computes it."""
+    data = (np.ascontiguousarray(trace.final_x, dtype="<f8").tobytes()
+            + np.ascontiguousarray(trace.cumulative_regret, dtype="<f8").tobytes())
+    return hashlib.sha256(data).hexdigest()
+
+
 def test_corpus_runs_match_benchmark_digests():
-    digests = json.loads(BENCHMARK_REFS.read_text())["digests"]
+    digests = benchmark_digests()
     T, seed = 5000, 0
     for schedule in (Schedule.EXP_DECAY, Schedule.INVERSE_T):
         h = HyperParams(alpha=0.001, beta1=0.9, beta2=0.999, lam=0.001, schedule=schedule)
@@ -634,11 +716,41 @@ def test_corpus_runs_match_benchmark_digests():
             for optimizer in ("amsgrad", "adamx"):
                 problem = synthetic_problem() if kind == "synthetic" else quadratic_problem(seed, d)
                 trace = run_oco(problem, optimizer, h, T, record_full=True)
-                data = (np.ascontiguousarray(trace.final_x, dtype="<f8").tobytes()
-                        + np.ascontiguousarray(trace.cumulative_regret, dtype="<f8").tobytes())
                 key = (f"{kind}:{None if kind == 'synthetic' else seed}:{d}:"
                        f"{schedule.value}:{optimizer}:{T}")
-                assert hashlib.sha256(data).hexdigest() == digests[key], key
+                assert run_digest(trace) == digests[key], key
+
+
+@pytest.mark.parametrize("optimizer", ["amsgrad", "adamx"])
+def test_logistic_runs_match_benchmark_digests(optimizer):
+    # the logistic workload's paired runs: d = 3, alpha = 0.1, 2000 steps
+    h = HyperParams(alpha=0.1, beta1=0.9, beta2=0.999, lam=0.001, schedule=Schedule.EXP_DECAY)
+    trace = run_oco(toy_training_problem(0), optimizer, h, 2000, record_iterates=True)
+    assert run_digest(trace) == benchmark_digests()[f"logistic:0:{optimizer}:2000"]
+
+
+def test_cli_decay_trace_matches_benchmark_digest(tmp_path):
+    # the cli workload's run command at its short size, in process
+    out = tmp_path / "decay.csv"
+    with pytest.raises(SystemExit) as info:
+        cli.main(["run", "--problem", "synthetic", "--optimizer", "adamx", "--schedule", "exp",
+                  "--alpha", "4", "--beta1", "0.5", "--steps", "1010", "--output", str(out)])
+    assert info.value.code == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == benchmark_digests()["csv:decay:1010"]
+
+
+def test_named_runs_take_the_run_kernel_up_to_scalar_max_dim(monkeypatch):
+    calls = []
+
+    def counting(rule, grad, cost, h, box, x1, *rest):
+        calls.append(x1.shape[0])
+        return run_scalar(rule, grad, cost, h, box, x1, *rest)
+
+    monkeypatch.setattr(harness, "run_scalar", counting)
+    for d in (SCALAR_MAX_DIM, SCALAR_MAX_DIM + 1):
+        run_oco(quadratic_problem(1, d), "adamx", H_REF, 5)
+    assert calls == [SCALAR_MAX_DIM]
 
 
 def test_regret_is_cumsum_of_loss_gaps():
