@@ -32,9 +32,11 @@ class ProblemInstance:
     """A cost sequence plus the constants the regret bounds consume.
 
     Every problem supplies ``costs`` and ``comparator_for``. ``costs``
-    maps (T, x) to the array f_1(x), ..., f_T(x) in one vectorized pass,
-    bitwise equal to calling ``cost`` once per t; ``run_oco`` scores the
-    comparator with it. ``comparator_for`` maps a horizon T to the argmin
+    maps (T, x) to the array f_1(x), ..., f_T(x) for one point x of shape
+    (d,), or to f_1(x_1), ..., f_T(x_T) for a stack x of shape (T, d), in
+    one vectorized pass, bitwise equal to calling ``cost`` once per t;
+    ``run_oco`` scores the comparator with it, and the run kernel the
+    iterates of a whole run. ``comparator_for`` maps a horizon T to the argmin
     of the first-T sum over the box. ``x1`` overrides the default starting
     iterate (the box center). ``full_objective``, when present, scores a
     point against the whole dataset behind the cost sequence.
@@ -73,7 +75,7 @@ def synthetic_problem():
 
     def costs(T, x):
         ts = np.arange(1, T + 1)
-        return np.where(ts % 101 == 1, 1010.0, -10.0) * x[0]
+        return np.where(ts % 101 == 1, 1010.0, -10.0) * x[..., 0]
 
     return ProblemInstance(
         d=1, cost=cost, grad=grad, box=box, g_inf=1010.0, costs=costs,
@@ -198,11 +200,13 @@ def toy_training_problem(seed=0, n_points=200, batch_size=16):
         xb, yb = batch(t)
         return gradient(margins(x, xb, yb), xb, yb)
 
-    # the stacked matmul runs the same (batch, 2) @ (2,) product per t as cost
+    # one point or a stack of T: the stacked (batch, 2) @ (2, 1) products
+    # round as cost's (batch, 2) @ (2,) does, where np.vecdot does not
     def costs(T, x):
         idx = indices.rows(1, T + 1)
-        terms = np.logaddexp(0.0, -margins(x, xs[idx], ys[idx]))
-        return terms.sum(axis=1) / batch_size
+        x = np.broadcast_to(x, (T, 3))
+        m = ys[idx] * ((xs[idx] @ x[:, :2, None])[..., 0] + x[:, 2:3])
+        return np.logaddexp(0.0, -m).sum(axis=1) / batch_size
 
     def full_objective(theta):
         return loss(margins(theta, xs, ys))
@@ -298,7 +302,7 @@ def run_oco(problem, stepper, h, T, x1=None, record_full=False, record_iterates=
     vhat_hist = np.empty((T, d)) if record_full else None
 
     if isinstance(stepper, str) and d <= SCALAR_MAX_DIM:
-        state = run_scalar(RULES[stepper], problem.grad, problem.cost, h, problem.box, x1,
+        state = run_scalar(RULES[stepper], problem.grad, problem.costs, h, problem.box, x1,
                            losses, grads, iterates, m_hist, v_hist, vhat_hist)
     else:
         state = fresh_state(x1)

@@ -33,14 +33,18 @@ hands it the run when it is given a stepper name and the problem has at
 most ``SCALAR_MAX_DIM`` = 16 coordinates. It carries x, m, v and v_hat as
 lists of floats from step to step and calls ``_coordinates`` once a step,
 so the per-step checks, ``tolist`` calls and ``OptimizerState`` of a step
-function are paid once a run; histories are written row by row into the
-caller's arrays. A step function (perfbench's traced passes hand
-``run_oco`` a wrapped one) or a wider problem runs one ``_array_step``
-call per round. On quadratic runs of 2000 steps with full histories
-(2-vCPU Xeon, Python 3.11, numpy 2.4, medians of 15 runs in two
-sessions) the run kernel took 12-17 us a step against 41-45 for the step
-loop at d = 8 and 27-31 against 43-47 at d = 16, while the loop won at
-d = 32 (32-41 against 40-46) and d = 64 (27-33 against 50-62).
+function are paid once a run. A step calls the gradient oracle and
+nothing else outside the kernel: history rows collect in Python lists and
+are stored into the caller's arrays 256 rows at a time, and the losses
+f_t(x_t) are scored after the run by one ``costs(T, X)`` call on the
+iterates. A step function (perfbench's traced passes hand ``run_oco`` a
+wrapped one) or a wider problem runs one ``_array_step`` call, and one
+``cost`` call, per round. On quadratic runs of 2000 steps with full
+histories (2-vCPU Xeon, Python 3.11, numpy 2.4, medians of 15 runs in two
+sessions) the run kernel, when it still called ``cost`` and stored every
+row at once, took 12-17 us a step against 41-45 for the step loop at
+d = 8 and 27-31 against 43-47 at d = 16, while the loop won at d = 32
+(32-41 against 40-46) and d = 64 (27-33 against 50-62).
 
 The two are bitwise equal: Python's float + - * / are IEEE-754 binary64
 operations rounded to nearest, as numpy's ufuncs are, ``math.sqrt`` is
@@ -192,13 +196,17 @@ def _rescaled_max(t, b1, b1_prev):
     return (1.0 - b1) ** 2 / (1.0 - b1_prev) ** 2
 
 
+def _oracle_fault(t):
+    return NumericFault(f"non-finite cost or gradient at step {t}", step=t)
+
+
 def check_oracle(t, loss, g):
     """Raise NumericFault unless the step-t loss and every entry of the
     float64 gradient ``g`` are finite."""
     # one fused test; a sum that merely overflowed is re-checked elementwise
     if not math.isfinite(loss + g.sum()) and not (
             np.all(np.isfinite(g)) and math.isfinite(loss)):
-        raise NumericFault(f"non-finite cost or gradient at step {t}", step=t)
+        raise _oracle_fault(t)
 
 
 def _array_step(state, g, h, box, rule):
@@ -261,67 +269,117 @@ def _coordinates(xs, ms, vs, vhs, gs, lows, ups, b1, w, beta2, a, eps):
     return nxs, nms, nvs, nvhs, total
 
 
+# Rows a run kernel keeps in Python lists before one store per history.
+# Blocks of 4096 rows raised the corpus benchmark's peak memory from 42.3
+# to 46.8 MB (+11 %); blocks of 256 rows raise it by under 1 %.
+_BLOCK = 256
+
+
 def _rows(hist):
-    """A flat float64 view of a C-contiguous history array, or None."""
-    return None if hist is None else memoryview(hist).cast("B").cast("d")
+    """A flat float64 view of a C-contiguous history array."""
+    return memoryview(hist).cast("B").cast("d")
 
 
-def run_scalar(rule, grad, cost, h, box, x1, losses, grads,
+def _scored(costs, X):
+    """f_t(x_t) for the iterate rows X = x_1..x_n, as ``costs`` gives them.
+    Raises the oracle's NumericFault at the first step whose loss is not
+    finite."""
+    ls = costs(len(X), X)
+    bad = ~np.isfinite(ls)
+    if bad.any():
+        raise _oracle_fault(int(bad.argmax()) + 1)
+    return ls
+
+
+def run_scalar(rule, grad, costs, h, box, x1, losses, grads,
                iterates=None, m_hist=None, v_hist=None, vhat_hist=None):
     """A whole run of ``len(losses)`` steps from a fresh state at ``x1``, on
     at most SCALAR_MAX_DIM coordinates, carried on lists of Python floats.
 
-    Step t evaluates ``grad`` and ``cost`` at x_t, then runs
-    ``_coordinates``. It writes the loss and the gradient, and into each
-    history that is not None the step's row, into the preallocated
-    C-contiguous float64 arrays; ``iterates`` has one more row, x_1, and
-    the three moment histories come together or not at all. A step whose
-    fused finiteness sum (with the loss) is not finite is checked as
+    Step t evaluates ``grad`` at x_t and runs ``_coordinates``. Its
+    gradient, and its row of each history that is not None, go to flat
+    lists that are stored into the preallocated C-contiguous float64
+    arrays ``_BLOCK`` rows at a time; ``iterates`` has one more row, x_1,
+    and the three moment histories come together or not at all. A step
+    whose fused finiteness sum is not finite is checked as
     ``check_oracle`` and ``_array_step`` check it, on a rebuilt state, so
     it raises the same fault as the step functions or, if the sum merely
     overflowed, goes on with their result, so a run keeps only steps of
-    ``_coordinates`` whose entries are all finite. Returns the final state.
+    ``_coordinates`` whose entries are all finite.
+
+    The losses f_t(x_t) are scored after the steps, by one ``costs(T, X)``
+    call on the iterate rows (kept in a buffer of the kernel's own when
+    ``iterates`` is None). The step loop checks each loss before its
+    step, so when a step raises, the losses up to it (up to the step
+    before, if ``grad`` raised) are scored first, and a non-finite one
+    raises the oracle's fault at its own step instead. Returns the final
+    state.
     """
     d, T = x1.shape[0], losses.shape[0]
+    if iterates is None:
+        iterates = np.empty((T + 1, d))
+    iterates[0] = x1
     xs, lows, ups = x1.tolist(), box.lower.tolist(), box.upper.tolist()
     ms, vs, vhs = [0.0] * d, [0.0] * d, [0.0] * d
     alpha, beta2, eps = h.alpha, h.beta2, h.epsilon
     sqrt, isfinite, asarray, f64 = math.sqrt, math.isfinite, np.asarray, np.float64
-    loss_out, grad_out = _rows(losses), _rows(grads)
-    x_out, m_out, v_out, vh_out = _rows(iterates), _rows(m_hist), _rows(v_hist), _rows(vhat_hist)
-    if x_out is not None:
-        x_out[:d] = array("d", xs)
-    beta1, b1_prev = beta1_rule(h), None
-    for t in range(1, T + 1):
-        b1 = beta1(t)
-        x = np.array(xs)
-        g = asarray(grad(t, x), f64)
-        loss = cost(t, x)
-        if g.shape != x.shape:
-            # what the step functions make of an off-shape gradient
-            check_oracle(t, loss, g)
-            grads[t - 1] = g
-            g = as_vector(g, dim=d)
-        gs = g.tolist()
-        new = _coordinates(xs, ms, vs, vhs, gs, lows, ups, b1, rule(t, b1, b1_prev),
-                           beta2, alpha / sqrt(t), eps)
-        if not isfinite(new[4] + loss):
-            check_oracle(t, loss, g)
-            state = _array_step(
-                OptimizerState(x=x, m=np.array(ms), v=np.array(vs), v_hat=np.array(vhs),
-                               t=t - 1, beta1_prev=b1_prev), g, h, box, rule)
-            new = (state.x.tolist(), state.m.tolist(), state.v.tolist(), state.v_hat.tolist())
-        xs, ms, vs, vhs = new[:4]
-        b1_prev = b1
-        k = (t - 1) * d
-        loss_out[t - 1] = loss
-        grad_out[k:k + d] = array("d", gs)
-        if x_out is not None:
-            x_out[k + d:k + 2 * d] = array("d", xs)
-        if m_out is not None:
-            m_out[k:k + d] = array("d", ms)
-            v_out[k:k + d] = array("d", vs)
-            vh_out[k:k + d] = array("d", vhs)
+    # each history's rows of the current block, flat, with the array they
+    # go to; the iterate rows are x_2..x_{T+1}
+    gbuf, xbuf, mbuf, vbuf, vhbuf = [], [], [], [], []
+    full = m_hist is not None
+    out = [(grads, gbuf), (iterates[1:], xbuf)]
+    if full:
+        out += [(m_hist, mbuf), (v_hist, vbuf), (vhat_hist, vhbuf)]
+    out = [(_rows(hist), buf) for hist, buf in out]
+
+    def flush(start):
+        for view, buf in out:
+            view[start * d:start * d + len(buf)] = array("d", buf)
+            buf.clear()
+
+    # oracled: the last step whose grad returned, where the step loop would
+    # have gone on to the loss
+    beta1, b1_prev, oracled = beta1_rule(h), None, 0
+    try:
+        for start in range(0, T, _BLOCK):
+            for t in range(start + 1, min(start + _BLOCK, T) + 1):
+                b1 = beta1(t)
+                x = np.array(xs)
+                g = asarray(grad(t, x), f64)
+                oracled = t
+                if g.shape != x.shape:
+                    # what the step functions make of an off-shape gradient
+                    check_oracle(t, 0.0, g)
+                    grads[t - 1] = g
+                    g = as_vector(g, dim=d)
+                gs = g.tolist()
+                new = _coordinates(xs, ms, vs, vhs, gs, lows, ups, b1, rule(t, b1, b1_prev),
+                                   beta2, alpha / sqrt(t), eps)
+                if not isfinite(new[4]):
+                    check_oracle(t, 0.0, g)
+                    state = _array_step(
+                        OptimizerState(x=x, m=np.array(ms), v=np.array(vs),
+                                       v_hat=np.array(vhs), t=t - 1, beta1_prev=b1_prev),
+                        g, h, box, rule)
+                    new = (state.x.tolist(), state.m.tolist(), state.v.tolist(),
+                           state.v_hat.tolist())
+                xs, ms, vs, vhs = new[:4]
+                b1_prev = b1
+                gbuf += gs
+                xbuf += xs
+                if full:
+                    mbuf += ms
+                    vbuf += vs
+                    vhbuf += vhs
+            flush(start)
+    except Exception:
+        # the step loop meets a non-finite loss at step s before anything a
+        # later step raises, whatever its type
+        flush(start)
+        if oracled:
+            _scored(costs, iterates[:oracled])
+        raise
+    losses[:] = _scored(costs, iterates[:T])
     return OptimizerState(x=np.array(xs), m=np.array(ms), v=np.array(vs),
                           v_hat=np.array(vhs), t=T, beta1_prev=b1_prev)
 

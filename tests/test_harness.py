@@ -18,7 +18,7 @@ from adamxlab import (FeasibleBox, HyperParams, NumericFault, ProblemInstance,
                       synthetic_problem, keyed, toy_training_problem)
 from adamxlab import cli, harness
 from adamxlab.harness import RegretTrace, comparator_oracle
-from adamxlab.optimizers import SCALAR_MAX_DIM, STEPPERS, run_scalar
+from adamxlab.optimizers import _BLOCK, RULES, SCALAR_MAX_DIM, STEPPERS, run_scalar
 from adamxlab.numerics import project_box
 
 H_REF = HyperParams(alpha=0.001, beta1=0.9, beta2=0.999, lam=0.001,
@@ -548,7 +548,9 @@ def run_cases(draw):
         x1 = box.lower + vector(st.sampled_from([0.0, 0.3, 1.0])) * (box.upper - box.lower)
     kwargs = dict(x1=x1, record_full=draw(st.booleans()),
                   record_iterates=draw(st.sampled_from([None, False, True])))
-    return problem, draw(st.sampled_from(sorted(STEPPERS))), h, draw(st.integers(1, 40)), kwargs
+    # short runs, or runs whose histories are stored across one or two block edges
+    T = draw(st.one_of(st.integers(1, 40), st.integers(_BLOCK - 1, 2 * _BLOCK + 1)))
+    return problem, draw(st.sampled_from(sorted(STEPPERS))), h, T, kwargs
 
 
 @settings(max_examples=150, deadline=None)
@@ -561,8 +563,13 @@ def test_named_run_is_bitwise_the_step_loop(case):
 
 def oracle_problem(d, grad, cost=lambda t, x: 0.0):
     box = FeasibleBox.cube(-1.0, 1.0, d)
-    return ProblemInstance(d=d, cost=cost, grad=grad, box=box, g_inf=1.0,
-                           costs=lambda T, x: np.zeros(T),
+
+    # bitwise cost per t, as every problem's costs must be
+    def costs(T, x):
+        xs = np.broadcast_to(x, (T, d))
+        return np.array([cost(t, xs[t - 1]) for t in range(1, T + 1)], dtype=float)
+
+    return ProblemInstance(d=d, cost=cost, grad=grad, box=box, g_inf=1.0, costs=costs,
                            comparator_for=lambda T: np.zeros(d), name="oracle")
 
 
@@ -572,34 +579,86 @@ def at_step(k, bad):
     return lambda d: lambda t, x: bad(d) if t == k else np.full(d, 0.5)
 
 
-# each entry: (gradient oracle from d, cost oracle, the fault at d = 1, 5 and 17
-# as (message, step), or None for a run that completes)
+def cost_inf_at(k):
+    """A cost oracle that is infinite at step k and 0.0 at every other step."""
+    return lambda t, x: math.inf if t == k else 0.0
+
+
+LATE = _BLOCK + 3
+
+# each entry: (gradient oracle from d, cost oracle, horizon, the fault at d = 1,
+# 5 and 17 as (message, step), or None for a run that completes)
 FAULTS = {
-    "inf-gradient": (at_step(3, lambda d: np.r_[np.zeros(d - 1), np.inf]), None,
+    "inf-gradient": (at_step(3, lambda d: np.r_[np.zeros(d - 1), np.inf]), None, 6,
                      ("non-finite cost or gradient at step 3", 3)),
-    "nan-gradient": (at_step(3, lambda d: np.r_[np.zeros(d - 1), np.nan]), None,
+    "nan-gradient": (at_step(3, lambda d: np.r_[np.zeros(d - 1), np.nan]), None, 6,
                      ("non-finite cost or gradient at step 3", 3)),
-    "inf-cost": (at_step(0, None), lambda t, x: math.inf if t == 3 else 0.0,
+    "inf-cost": (at_step(0, None), cost_inf_at(3), 6,
                  ("non-finite cost or gradient at step 3", 3)),
     # g * g overflows inside the v recursion
-    "overflowing-moment": (at_step(3, lambda d: np.r_[np.zeros(d - 1), 1e200]), None,
+    "overflowing-moment": (at_step(3, lambda d: np.r_[np.zeros(d - 1), 1e200]), None, 6,
                            ("non-finite v at step 3", 3)),
     # v = 0.001 * (3e155)^2 = 9e307 is finite; only the fused sum overflows
-    "overflowing-sum": (at_step(3, lambda d: np.full(d, 3e155)), None, None),
+    "overflowing-sum": (at_step(3, lambda d: np.full(d, 3e155)), None, 6, None),
+    # the step loop meets the loss of step 2, at the first iterate that left
+    # x_1 = 0, before the gradient of step 4
+    "inf-cost-before-inf-gradient": (at_step(4, lambda d: np.r_[np.zeros(d - 1), np.inf]),
+                                     lambda t, x: 0.0 if x[0] == 0.0 else math.inf, 6,
+                                     ("non-finite cost or gradient at step 2", 2)),
+    # and the loss of a step before its moments
+    "inf-cost-and-overflowing-moment": (at_step(3, lambda d: np.r_[np.zeros(d - 1), 1e200]),
+                                        cost_inf_at(3), 6,
+                                        ("non-finite cost or gradient at step 3", 3)),
+    # past a block edge: the losses are scored after the run, or up to the
+    # step that raised, over the rows of a full and a partial block
+    "late-inf-cost": (at_step(0, None), cost_inf_at(LATE), _BLOCK + 10,
+                      (f"non-finite cost or gradient at step {LATE}", LATE)),
+    "late-overflowing-moment": (at_step(LATE, lambda d: np.r_[np.zeros(d - 1), 1e200]),
+                                None, _BLOCK + 10, (f"non-finite v at step {LATE}", LATE)),
+    "inf-cost-a-block-before-overflowing-moment": (
+        at_step(LATE, lambda d: np.r_[np.zeros(d - 1), 1e200]), cost_inf_at(3), _BLOCK + 10,
+        ("non-finite cost or gradient at step 3", 3)),
+    # every loss is finite; only their sum overflows
+    "overflowing-loss-sum": (at_step(0, None), lambda t, x: 1e308, 6, None),
 }
 
 
 @pytest.mark.parametrize("name", sorted(STEPPERS))
 @pytest.mark.parametrize("case", FAULTS.values(), ids=FAULTS.keys())
 def test_named_run_faults_like_the_step_loop(case, name):
-    grad, cost, fault = case
+    grad, cost, T, fault = case
     for d in (1, 5, SCALAR_MAX_DIM + 1):
         problem = oracle_problem(d, grad(d), cost or (lambda t, x: 0.0))
-        got = run_both(problem, name, H_REF, 6, record_full=True)
+        got = run_both(problem, name, H_REF, T, record_full=True)
         if fault is None:
             assert isinstance(got, list)
         else:
             assert got == (NumericFault, *fault)
+
+
+@pytest.mark.parametrize("k", [3, LATE])
+def test_named_run_scores_no_loss_where_the_gradient_raised(k):
+    # the step loop calls cost after grad, so a gradient that cannot be read
+    # at step k hides the infinite loss of step k
+    for d in (1, 5):
+        problem = oracle_problem(d, at_step(k, lambda d: "not a number")(d), cost_inf_at(k))
+        got = run_both(problem, "adamx", H_REF, _BLOCK + 10)
+        assert got[:2] == (ValueError, "could not convert string to float: 'not a number'")
+
+
+@pytest.mark.parametrize("k", [4, LATE])
+def test_run_kernel_scores_the_rows_of_the_block_a_fault_cuts_short(k):
+    # a loss at a NaN row is NaN, so a row not stored before the losses up to
+    # the fault are scored would turn the gradient's fault at step k into a
+    # cost fault at an earlier step
+    d, T = 2, _BLOCK + 10
+    p = oracle_problem(d, at_step(k, lambda d: np.r_[np.zeros(d - 1), np.inf])(d),
+                       lambda t, x: 0.0 * x[0])
+    iterates = np.full((T + 1, d), np.nan)
+    with pytest.raises(NumericFault, match=f"non-finite cost or gradient at step {k}$"):
+        run_scalar(RULES["adamx"], p.grad, p.costs, H_REF, p.box, np.zeros(d), np.empty(T),
+                   np.empty((T, d)), iterates)
+    assert np.isfinite(iterates[:k]).all() and np.isnan(iterates[k:]).all()
 
 
 # each entry maps d to what a gradient oracle returns: off-shape, or not float64
@@ -743,14 +802,37 @@ def test_cli_decay_trace_matches_benchmark_digest(tmp_path):
 def test_named_runs_take_the_run_kernel_up_to_scalar_max_dim(monkeypatch):
     calls = []
 
-    def counting(rule, grad, cost, h, box, x1, *rest):
+    def counting(rule, grad, costs, h, box, x1, *rest):
         calls.append(x1.shape[0])
-        return run_scalar(rule, grad, cost, h, box, x1, *rest)
+        return run_scalar(rule, grad, costs, h, box, x1, *rest)
 
     monkeypatch.setattr(harness, "run_scalar", counting)
     for d in (SCALAR_MAX_DIM, SCALAR_MAX_DIM + 1):
         run_oco(quadratic_problem(1, d), "adamx", H_REF, 5)
     assert calls == [SCALAR_MAX_DIM]
+
+
+def test_named_run_scores_its_losses_in_one_costs_call():
+    T = 50
+    kernel = {"cost": 0, "grad": T, "costs": 2}  # the losses and the comparator's
+    loop = {"cost": T, "grad": T, "costs": 1}
+    for stepper, d, expected in (("adamx", 1, kernel), ("adamx", SCALAR_MAX_DIM, kernel),
+                                 ("adamx", SCALAR_MAX_DIM + 1, loop),
+                                 (STEPPERS["adamx"], 1, loop)):
+        p = quadratic_problem(1, d)
+        calls = dict.fromkeys(expected, 0)
+
+        def counted(name):
+            fn = getattr(p, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        run_oco(dataclasses.replace(p, **{name: counted(name) for name in calls}),
+                stepper, H_REF, T, record_full=True)
+        assert calls == expected
 
 
 def test_regret_is_cumsum_of_loss_gaps():
@@ -791,6 +873,25 @@ def test_logistic_costs_match_per_t_loop(seed):
     p = toy_training_problem(seed)
     x = np.random.default_rng(seed).uniform(-3.0, 3.0, size=3)
     assert_bitwise(p.costs(2000, x), per_t_costs(p, 2000, x))
+
+
+STACKED_H = HyperParams(alpha=0.1, beta1=0.9, beta2=0.999, lam=0.001,
+                        schedule=Schedule.EXP_DECAY)
+
+
+@pytest.mark.parametrize("make", [
+    synthetic_problem, *(lambda d=d: quadratic_problem(17, d) for d in (1, 5, 16)),
+    *(lambda seed=seed: toy_training_problem(seed) for seed in range(4))],
+    ids=["synthetic", "quadratic-1", "quadratic-5", "quadratic-16", *(
+        f"logistic-{seed}" for seed in range(4))])
+def test_stacked_costs_match_per_t_loop(make):
+    # the run kernel scores f_t(x_t) for a whole run with one costs(T, X)
+    p, T = make(), 2000
+    box = p.box
+    rows = box.lower + np.random.default_rng(p.d).random((T, p.d)) * (box.upper - box.lower)
+    run = run_oco(p, "adamx", STACKED_H, T, record_iterates=True).iterates[:T]
+    for X in (rows, run):
+        assert_bitwise(p.costs(T, X), np.array([p.cost(t, x) for t, x in enumerate(X, 1)]))
 
 
 def test_run_is_deterministic():

@@ -366,7 +366,7 @@ def test_run_kernel_beta1_is_beta1_sequence(schedule):
     h = HyperParams(alpha=0.001, beta1=0.9, beta2=0.999, lam=0.999, schedule=schedule)
     p, T = synthetic_problem(), 50500
     losses, grads, m_hist = np.empty(T), np.empty((T, 1)), np.empty((T, 1))
-    state = run_scalar(_raw, p.grad, p.cost, h, p.box, p.x1, losses, grads,
+    state = run_scalar(_raw, p.grad, p.costs, h, p.box, p.x1, losses, grads,
                        m_hist=m_hist, v_hist=np.empty((T, 1)), vhat_hist=np.empty((T, 1)))
     seq = beta1_sequence(h, T)
     # the schedules written out once more, as the reference
