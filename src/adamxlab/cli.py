@@ -261,37 +261,26 @@ def cmd_run(args):
                 print(f"batch entries {first} and {i} share output_path "
                       f"{config.output_path!r}", file=sys.stderr)
                 return EXIT_USAGE
-        status = EXIT_OK
-        for config in configs:
-            if not _writable(config.output_path):
-                status = EXIT_USAGE
-                continue
-            code, message, trace = _execute_run(config)
-            if code != EXIT_OK:
-                print(message, file=sys.stderr)
-                status = code
-                continue
-            if not _write_file(config.output_path, lambda f: _write_trace_csv(f, trace)):
-                status = EXIT_USAGE
-                continue
-            _stdout(print, message)
-        return status
 
-    config = configs[0]
-    if config.output_path and not _writable(config.output_path):
-        return EXIT_USAGE
-    code, message, trace = _execute_run(config)
-    if code != EXIT_OK:
-        print(message, file=sys.stderr)
-        return code
-    if config.output_path:
-        if not _write_file(config.output_path, lambda f: _write_trace_csv(f, trace)):
-            return EXIT_USAGE
-        _stdout(print, message)
-    else:
-        _stdout(_write_trace_csv, sys.stdout, trace)
-        print(message, file=sys.stderr)
-    return EXIT_OK
+    # a single run is a batch of one that may stream its CSV to stdout
+    status = EXIT_OK
+    for config in configs:
+        path = config.output_path
+        if path and not _writable(path):
+            status = EXIT_USAGE
+            continue
+        code, message, trace = _execute_run(config)
+        if code != EXIT_OK:
+            print(message, file=sys.stderr)
+            status = code
+        elif not path:
+            _stdout(_write_trace_csv, sys.stdout, trace)
+            print(message, file=sys.stderr)
+        elif _write_file(path, lambda f: _write_trace_csv(f, trace)):
+            _stdout(print, message)
+        else:
+            status = EXIT_USAGE
+    return status
 
 
 def _flag_overrides(args):
@@ -301,8 +290,8 @@ def _flag_overrides(args):
 
 
 def cmd_verify(args):
-    overrides = {k: getattr(args, k) for k in ("alpha", "beta1", "beta2", "lam", "epsilon")
-                 if getattr(args, k) is not None}
+    overrides = {dest: getattr(args, dest) for _, dest in _HYPER_FLAGS
+                 if getattr(args, dest) is not None}
     h = None
     if overrides:
         try:
@@ -463,6 +452,16 @@ def cmd_plot(args):
     return EXIT_OK
 
 
+# the hyperparameter flags that `run` and `verify` share, with their dests
+_HYPER_FLAGS = (("--alpha", "alpha"), ("--beta1", "beta1"), ("--beta2", "beta2"),
+                ("--lambda", "lam"), ("--epsilon", "epsilon"))
+
+
+def _add_hyper_flags(parser):
+    for flag, dest in _HYPER_FLAGS:
+        parser.add_argument(flag, dest=dest, type=float)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="adamxlab",
@@ -475,11 +474,7 @@ def build_parser():
     run.add_argument("--problem", choices=PROBLEMS)
     run.add_argument("--optimizer", choices=OPTIMIZERS)
     run.add_argument("--schedule", choices=SCHEDULES)
-    run.add_argument("--alpha", type=float)
-    run.add_argument("--beta1", type=float)
-    run.add_argument("--beta2", type=float)
-    run.add_argument("--lambda", dest="lam", type=float)
-    run.add_argument("--epsilon", type=float)
+    _add_hyper_flags(run)
     run.add_argument("--steps", type=int)
     run.add_argument("--seed", type=int)
     run.add_argument("--dim", type=int, help="dimension for the quadratic problem")
@@ -488,11 +483,7 @@ def build_parser():
 
     verify = sub.add_parser("verify", help="run a verification suite, print a JSON report")
     verify.add_argument("suite", choices=SUITES)
-    verify.add_argument("--alpha", type=float)
-    verify.add_argument("--beta1", type=float)
-    verify.add_argument("--beta2", type=float)
-    verify.add_argument("--lambda", dest="lam", type=float)
-    verify.add_argument("--epsilon", type=float)
+    _add_hyper_flags(verify)
     verify.add_argument("--output", help="write the JSON report here instead of stdout")
     verify.set_defaults(func=cmd_verify)
 

@@ -143,9 +143,7 @@ def toy_training_problem(seed=0, n_points=200, batch_size=16):
     so paired optimizer runs face the identical cost sequence. The
     minibatch indices are filled 4096 t at a time on first demand (see
     ``keyed``) and kept per problem, so cost, grad and the comparator
-    share each draw and see the same rows in any access order; the rows
-    of the latest t are kept too, so the cost after a gradient at the
-    same t gathers nothing.
+    share each draw and see the same rows in any access order.
     Gradients are analytic. The per-sample gradient magnitude
     never exceeds the largest feature magnitude (the sigmoid factor is
     below 1), which gives g_inf from the data alone. scipy is imported
@@ -178,26 +176,13 @@ def toy_training_problem(seed=0, n_points=200, batch_size=16):
         gb = float(coeff.sum() / len(coeff))
         return np.array([gw[0], gw[1], gb])
 
-    # (t, xb, yb) of the latest gather, swapped as one tuple so that a
-    # thread never reads the rows of another t: a run calls grad, then
-    # cost at the same t
-    last = (None, None, None)
-
-    def batch(t):
-        nonlocal last
-        key, xb, yb = last
-        if key != t:
-            idx = indices.row(t)
-            xb, yb = xs[idx], ys[idx]
-            last = (t, xb, yb)
-        return xb, yb
-
     def cost(t, x):
-        xb, yb = batch(t)
-        return loss(margins(x, xb, yb))
+        idx = indices.row(t)
+        return loss(margins(x, xs[idx], ys[idx]))
 
     def grad(t, x):
-        xb, yb = batch(t)
+        idx = indices.row(t)
+        xb, yb = xs[idx], ys[idx]
         return gradient(margins(x, xb, yb), xb, yb)
 
     # one point or a stack of T: the stacked (batch, 2) @ (2, 1) products

@@ -70,9 +70,9 @@ class FeasibleBox:
     def center(self):
         return 0.5 * (self.lower + self.upper)
 
-    def contains(self, x, atol=0.0):
+    def contains(self, x):
         x = as_vector(x, dim=self.dim)
-        return bool(np.all(x >= self.lower - atol) and np.all(x <= self.upper + atol))
+        return bool(np.all(x >= self.lower) and np.all(x <= self.upper))
 
 
 def project_box(y, box):

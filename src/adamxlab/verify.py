@@ -22,7 +22,7 @@ import numpy as np
 from .errors import BoundUndefined, VerificationFailure
 from .harness import quadratic_problem, run_oco, synthetic_problem
 from .numerics import l2_norm_columns
-from .optimizers import HyperParams, Schedule, beta1_rule, fresh_state, step_amsgrad
+from .optimizers import HyperParams, Schedule, beta1_rule
 
 # Frozen values for the three-step sign-flip run (x1 = 1, comparator -1,
 # alpha = 0.001, beta1 = 0.9 with exp decay lambda = 0.001, beta2 = 0.999).
@@ -105,6 +105,8 @@ def _check_name(name, label):
 def reproduce_counterexample(comparator=-1.0, tol=_GOLDEN_TOL):
     """Replay the two-step sign-flip run and return [(t, delta_t, sign)].
 
+    The run goes through ``run_oco`` like every named run, so the frozen
+    constants pin the run kernel that produces the library's results.
     With the default comparator -1 every intermediate quantity is
     compared against the frozen constants above; the first one that
     drifts beyond ``tol`` raises VerificationFailure naming it, as does
@@ -112,18 +114,12 @@ def reproduce_counterexample(comparator=-1.0, tol=_GOLDEN_TOL):
     the deltas against that point (the trajectory itself does not
     depend on the comparator).
     """
-    problem = synthetic_problem()
-    h = example_hyperparams()
-    state = fresh_state(problem.x1)
-    xs = [float(state.x[0])]
-    ms, vs, vhats = [], [], []
-    for t in (1, 2):
-        g = problem.grad(t, state.x)
-        state = step_amsgrad(state, g, h, problem.box)
-        xs.append(float(state.x[0]))
-        ms.append(float(state.m[0]))
-        vs.append(float(state.v[0]))
-        vhats.append(float(state.v_hat[0]))
+    trace = run_oco(synthetic_problem(), "amsgrad", example_hyperparams(), 2,
+                    record_full=True)
+    xs = trace.iterates[:, 0].tolist()
+    ms = trace.m_history[:, 0].tolist()
+    vs = trace.v_history[:, 0].tolist()
+    vhats = trace.vhat_history[:, 0].tolist()
 
     deltas = [(xs[t] - comparator) ** 2 - (xs[t + 1] - comparator) ** 2
               for t in (0, 1)]
@@ -232,15 +228,17 @@ class BoundContext:
     beta1: float
     beta2: float
     lam: float
-    gamma: float
     t0: int
     grad_col_norms: Sequence[float]
 
     def __post_init__(self):
-        if self.gamma != self.beta1 / math.sqrt(self.beta2):
-            raise ValueError("gamma must equal beta1/sqrt(beta2) as computed")
         if not 1 <= self.t0 <= self.T:
             raise ValueError(f"t0 must lie in [1, {self.T}], got {self.t0}")
+
+    @property
+    def gamma(self):
+        """beta1/sqrt(beta2), the expression ``HyperParams.gamma`` uses."""
+        return self.beta1 / math.sqrt(self.beta2)
 
     @classmethod
     def from_run(cls, trace, problem, h):
@@ -253,7 +251,6 @@ class BoundContext:
             beta1=h.beta1,
             beta2=h.beta2,
             lam=h.lam,
-            gamma=h.gamma,
             t0=find_t0(h, trace.vhat_history, trace.T),
             grad_col_norms=[l2_norm_columns(trace.gradient_history, i)
                             for i in range(problem.d)],

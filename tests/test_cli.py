@@ -179,6 +179,40 @@ def test_batch_runs_every_entry(tmp_path, capsys):
     assert out_a.read_text().splitlines()[1].endswith(GOLDEN_X2)
 
 
+@pytest.mark.parametrize("entry, expected", [
+    ({"steps": 3}, 0),
+    ({"steps": 5, "alpha": 1e308}, 3),
+    ({"steps": 3, "output_path": "missing/x.csv"}, 2),
+])
+def test_single_run_is_a_batch_of_one(tmp_path, capsys, entry, expected):
+    # a one-entry list, the same object and the same flags take one run loop
+    target = tmp_path / entry.get("output_path", "x.csv")
+    entry = {**entry, "output_path": str(target)}
+    flags = []
+    for key, value in entry.items():
+        flags += ["--output" if key == "output_path" else f"--{key}", str(value)]
+    cfg = tmp_path / "cfg.json"
+    results = []
+    for loaded in ([entry], entry, None):
+        argv = ["run"] + flags
+        if loaded is not None:
+            cfg.write_text(json.dumps(loaded))
+            argv = ["run", "--config", str(cfg)]
+        with np.errstate(over="ignore"):
+            code, out, err = run_cli(argv, capsys)
+        results.append((code, out, err, target.read_bytes() if target.exists() else None))
+        target.unlink(missing_ok=True)
+    assert results[0] == results[1] == results[2]
+    code, out, err, written = results[0]
+    assert code == expected
+    assert (written is not None) == (expected == 0)
+    if expected == 0:
+        assert out.startswith("T=3 R(T)=") and err == ""
+        assert written.decode().splitlines()[1].endswith(GOLDEN_X2)
+    else:
+        assert out == "" and err
+
+
 def test_batch_requires_output_paths(tmp_path, capsys):
     cfg = tmp_path / "batch.json"
     cfg.write_text(json.dumps([{"steps": 3}]))

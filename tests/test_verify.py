@@ -28,6 +28,8 @@ from adamxlab import (BoundContext, BoundUndefined, HyperParams, Schedule,
                       alpha_at, decomposition_terms, find_t0,
                       quadratic_problem, reproduce_counterexample, run_oco,
                       run_suite, synthetic_problem)
+from adamxlab import harness
+from adamxlab.optimizers import run_scalar
 from adamxlab.verify import SUITES, example_hyperparams
 
 H_EXP = example_hyperparams()
@@ -37,8 +39,7 @@ H_INV = HyperParams(alpha=0.001, beta1=0.9, beta2=0.999, lam=0.001,
 
 def reference_context(T=1, t0=1):
     return BoundContext(T=T, d=1, d_inf=2.0, g_inf=1010.0, alpha=0.001,
-                        beta1=0.9, beta2=0.999, lam=0.001,
-                        gamma=0.9 / math.sqrt(0.999), t0=t0,
+                        beta1=0.9, beta2=0.999, lam=0.001, t0=t0,
                         grad_col_norms=np.array([1010.0] * 1))
 
 
@@ -69,6 +70,19 @@ def test_counterexample_golden_guard_names_first_divergence():
     with pytest.raises(VerificationFailure) as info:
         reproduce_counterexample(tol=0.0)
     assert info.value.quantity == "m1"
+
+
+def test_counterexample_replays_through_the_run_kernel(monkeypatch):
+    # the golden constants pin the kernel that every named run takes
+    calls = []
+
+    def counting(rule, grad, costs, h, box, x1, *rest):
+        calls.append(x1.shape[0])
+        return run_scalar(rule, grad, costs, h, box, x1, *rest)
+
+    monkeypatch.setattr(harness, "run_scalar", counting)
+    reproduce_counterexample()
+    assert calls == [1]
 
 
 def test_check_counterexample_reports():
@@ -119,8 +133,8 @@ def test_adamx_statement_coefficient_flag():
 def test_bound_scales_exactly_with_alpha():
     ctx1 = reference_context()
     ctx2 = BoundContext(T=1, d=1, d_inf=2.0, g_inf=1010.0, alpha=0.002,
-                        beta1=0.9, beta2=0.999, lam=0.001, gamma=ctx1.gamma,
-                        t0=1, grad_col_norms=np.array([1010.0]))
+                        beta1=0.9, beta2=0.999, lam=0.001, t0=1,
+                        grad_col_norms=np.array([1010.0]))
     a = amsgrad_bound_terms(ctx1, Schedule.EXP_DECAY)
     b = amsgrad_bound_terms(ctx2, Schedule.EXP_DECAY)
     # the first two terms carry alpha in the denominator, the third in the
@@ -132,8 +146,7 @@ def test_bound_scales_exactly_with_alpha():
 
 def test_zero_gradients_zero_out_gradient_term():
     ctx = BoundContext(T=5, d=2, d_inf=2.0, g_inf=1.0, alpha=0.001,
-                       beta1=0.9, beta2=0.999, lam=0.001,
-                       gamma=0.9 / math.sqrt(0.999), t0=1,
+                       beta1=0.9, beta2=0.999, lam=0.001, t0=1,
                        grad_col_norms=np.zeros(2))
     assert amsgrad_bound_terms(ctx, Schedule.EXP_DECAY)[2] == 0.0
     assert adamx_bound_terms(ctx, beta1_sequence(H_EXP, 5))[2] == 0.0
@@ -156,8 +169,9 @@ def test_bound_monotone_in_horizon():
 def test_gamma_one_is_undefined():
     # beta2 = 0.81 makes sqrt(beta2) exactly 0.9, so gamma == 1
     ctx = BoundContext(T=1, d=1, d_inf=2.0, g_inf=1.0, alpha=0.001,
-                       beta1=0.9, beta2=0.81, lam=0.001, gamma=1.0, t0=1,
+                       beta1=0.9, beta2=0.81, lam=0.001, t0=1,
                        grad_col_norms=np.array([1.0]))
+    assert ctx.gamma == 1.0
     with pytest.raises(BoundUndefined, match="bound undefined at γ=1"):
         bound_amsgrad(ctx, Schedule.EXP_DECAY)
     with pytest.raises(BoundUndefined):
@@ -166,8 +180,8 @@ def test_gamma_one_is_undefined():
 
 def test_gamma_above_one_is_undefined():
     ctx = BoundContext(T=1, d=1, d_inf=2.0, g_inf=1.0, alpha=0.001,
-                       beta1=0.95, beta2=0.81, lam=0.001, gamma=0.95 / 0.9,
-                       t0=1, grad_col_norms=np.array([1.0]))
+                       beta1=0.95, beta2=0.81, lam=0.001, t0=1,
+                       grad_col_norms=np.array([1.0]))
     with pytest.raises(BoundUndefined):
         bound_amsgrad(ctx, Schedule.EXP_DECAY)
 
