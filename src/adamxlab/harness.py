@@ -196,12 +196,7 @@ def toy_training_problem(seed=0, n_points=200, batch_size=16):
     def full_objective(theta):
         return loss(margins(theta, xs, ys))
 
-    comparators = {}
-
     def comparator_for(T):
-        got = comparators.get(T)
-        if got is not None:
-            return got.copy()
         from scipy.optimize import minimize
         idx = indices.rows(1, T + 1).reshape(-1)
         xb, yb = xs[idx], ys[idx]
@@ -212,9 +207,7 @@ def toy_training_problem(seed=0, n_points=200, batch_size=16):
 
         res = minimize(objective, np.zeros(3), jac=True, method="L-BFGS-B",
                        bounds=[(-10.0, 10.0)] * 3)
-        best = project_box(res.x, box)
-        comparators[T] = best
-        return best.copy()
+        return project_box(res.x, box)
 
     return ProblemInstance(
         d=3, cost=cost, grad=grad, box=box, g_inf=g_inf, costs=costs,

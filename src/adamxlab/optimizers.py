@@ -39,12 +39,15 @@ are stored into the caller's arrays 256 rows at a time, and the losses
 f_t(x_t) are scored after the run by one ``costs(T, X)`` call on the
 iterates. A step function (perfbench's traced passes hand ``run_oco`` a
 wrapped one) or a wider problem runs one ``_array_step`` call, and one
-``cost`` call, per round. On quadratic runs of 2000 steps with full
-histories (2-vCPU Xeon, Python 3.11, numpy 2.4, medians of 15 runs in two
-sessions) the run kernel, when it still called ``cost`` and stored every
-row at once, took 12-17 us a step against 41-45 for the step loop at
-d = 8 and 27-31 against 43-47 at d = 16, while the loop won at d = 32
-(32-41 against 40-46) and d = 64 (27-33 against 50-62).
+``cost`` call, per round. On 2000-step amsgrad quadratic runs with full
+histories (2-vCPU Xeon, Python 3.11, numpy 2.4, medians of 7 runs in two
+sessions) the run kernel took 6.8-7.1 us a step against 20-21.5 for the
+step loop at d = 8, 10.9-11.3 against 20.4-22.3 at d = 16 and 19.5-19.7
+against 20.7-20.8 at d = 32, while the loop won at d = 48 (27.9-33.4
+against 21.5-21.9) and d = 64 (39-40.6 against 22-29.3). The kernel's
+cost grows with d and the loop's barely does, so they cross between
+d = 32 and d = 48; ``SCALAR_MAX_DIM`` stays 16 because no workload runs
+a problem with 16 < d <= 48 that could show the gain of a higher cut.
 
 The two are bitwise equal: Python's float + - * / are IEEE-754 binary64
 operations rounded to nearest, as numpy's ufuncs are, ``math.sqrt`` is

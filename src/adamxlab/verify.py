@@ -89,17 +89,16 @@ class CheckReport:
         return out
 
 
-def _status(ok):
-    return "pass" if ok else "fail"
+def _report(name, label, ok, lhs, rhs, slack, t_failed=None, note=None):
+    """A pass/fail report for check ``name``, qualified as ``name[label]``
+    when a label is given."""
+    return CheckReport(check=f"{name}[{label}]" if label else name,
+                       status="pass" if ok else "fail", lhs=lhs, rhs=rhs,
+                       slack=slack, t_failed=t_failed, note=note)
 
 
 def _ratio(lhs, rhs):
     return rhs / lhs if lhs > 0.0 else math.inf
-
-
-def _check_name(name, label):
-    """A report's check name: ``name``, qualified by ``label`` when given."""
-    return f"{name}[{label}]" if label else name
 
 
 def reproduce_counterexample(comparator=-1.0, tol=_GOLDEN_TOL):
@@ -154,17 +153,16 @@ def check_counterexample():
     try:
         rows = reproduce_counterexample()
     except VerificationFailure as err:
-        return [CheckReport(check=f"counterexample[{err.quantity}]",
-                            status="fail", note=str(err))]
+        return [_report("counterexample", err.quantity, False, None, None, None,
+                        note=str(err))]
     d1, d2 = rows[0][1], rows[1][1]
     return [
-        CheckReport(check="counterexample[delta1]", status=_status(abs(d1 - GOLDEN_DELTA1) <= _GOLDEN_TOL),
-                    lhs=d1, rhs=GOLDEN_DELTA1, slack=abs(d1 - GOLDEN_DELTA1)),
-        CheckReport(check="counterexample[delta2]", status=_status(abs(d2 - GOLDEN_DELTA2) <= _GOLDEN_TOL),
-                    lhs=d2, rhs=GOLDEN_DELTA2, slack=abs(d2 - GOLDEN_DELTA2)),
-        CheckReport(check="counterexample[sign_flip]", status=_status(d1 > 0.0 > d2),
-                    lhs=d1, rhs=d2,
-                    note="squared distance to the comparator moves down, then up"),
+        _report("counterexample", "delta1", abs(d1 - GOLDEN_DELTA1) <= _GOLDEN_TOL,
+                d1, GOLDEN_DELTA1, abs(d1 - GOLDEN_DELTA1)),
+        _report("counterexample", "delta2", abs(d2 - GOLDEN_DELTA2) <= _GOLDEN_TOL,
+                d2, GOLDEN_DELTA2, abs(d2 - GOLDEN_DELTA2)),
+        _report("counterexample", "sign_flip", d1 > 0.0 > d2, d1, d2, None,
+                note="squared distance to the comparator moves down, then up"),
     ]
 
 
@@ -194,24 +192,22 @@ def _scaled_vhat(vhat, seq):
     return np.sqrt(ts * vhat) / (1.0 - seq)[:, None]
 
 
-def find_t0(h, vhat_history, T):
+def find_t0(h, vhat_history):
     """Smallest t0 past which sqrt(t*vhat_t)/(1-beta_{1,t}) is nondecreasing.
 
-    beta_{1,t} follows h's schedule. The scan is over the recorded
-    trajectory, every coordinate at once; the answer is the last step
-    where the ordering fails (1 when it never fails, T when it still
-    fails at the horizon, in which case the bound that consumes t0
-    degenerates to its worst case).
+    beta_{1,t} follows h's schedule and the horizon T is the history's
+    row count. The scan is over the recorded trajectory, every coordinate
+    at once; the answer is the last step where the ordering fails (1 when
+    it never fails, T when it still fails at the horizon, in which case
+    the bound that consumes t0 degenerates to its worst case).
     """
     if vhat_history is None:
         raise ValueError("vhat history required; run with record_full")
     vh = np.asarray(vhat_history, dtype=np.float64)
     if vh.ndim == 1:
         vh = vh.reshape(-1, 1)
-    if vh.shape[0] < T:
-        raise ValueError(f"history has {vh.shape[0]} rows, need {T}")
 
-    scaled = _scaled_vhat(vh[:T], beta1_sequence(h, T))
+    scaled = _scaled_vhat(vh, beta1_sequence(h, len(vh)))
     fails = np.flatnonzero((scaled[1:] < scaled[:-1]).any(axis=1))
     return int(fails[-1]) + 2 if fails.size else 1
 
@@ -251,7 +247,7 @@ class BoundContext:
             beta1=h.beta1,
             beta2=h.beta2,
             lam=h.lam,
-            t0=find_t0(h, trace.vhat_history, trace.T),
+            t0=find_t0(h, trace.vhat_history),
             grad_col_norms=[l2_norm_columns(trace.gradient_history, i)
                             for i in range(problem.d)],
         )
@@ -323,9 +319,7 @@ def check_regret_bound(trace, bound, label=""):
     """Measured R(T) against a computed bound; slack is the looseness ratio."""
     lhs = float(trace.cumulative_regret[-1])
     rhs = float(bound)
-    name = _check_name("regret_bound", label)
-    return CheckReport(check=name, status=_status(lhs <= rhs),
-                       lhs=lhs, rhs=rhs, slack=_ratio(lhs, rhs))
+    return _report("regret_bound", label, lhs <= rhs, lhs, rhs, _ratio(lhs, rhs))
 
 
 def check_sum_lemma(trace, ctx, label=""):
@@ -345,12 +339,10 @@ def check_sum_lemma(trace, ctx, label=""):
     coeff = (math.sqrt(math.log(trace.T) + 1.0)
              / ((1.0 - ctx.beta1) * math.sqrt(1.0 - ctx.beta2) * (1.0 - ctx.gamma)))
     rhs = coeff * np.asarray(ctx.grad_col_norms, dtype=np.float64)
-    worst = int(np.argmax(lhs - rhs))
     ok = bool(np.all(lhs <= rhs + 1e-9))
-    name = _check_name("sum_lemma", label)
-    return CheckReport(check=name, status=_status(ok),
-                       lhs=float(lhs[worst]), rhs=float(rhs[worst]),
-                       slack=_ratio(float(lhs[worst]), float(rhs[worst])))
+    worst = int(np.argmax(lhs - rhs))
+    lhs, rhs = float(lhs[worst]), float(rhs[worst])
+    return _report("sum_lemma", label, ok, lhs, rhs, _ratio(lhs, rhs))
 
 
 def check_adamx_vhat_closed_form(trace, beta1_seq, label=""):
@@ -369,9 +361,8 @@ def check_adamx_vhat_closed_form(trace, beta1_seq, label=""):
     worst = float(np.fmax.reduce(peaks, initial=0.0))
     over = np.flatnonzero(peaks > 1e-12)
     t_failed = int(over[0]) + 1 if over.size else None
-    name = _check_name("adamx_vhat_closed_form", label)
-    return CheckReport(check=name, status=_status(worst <= 1e-12),
-                       lhs=worst, rhs=1e-12, slack=worst, t_failed=t_failed)
+    return _report("adamx_vhat_closed_form", label, worst <= 1e-12, worst, 1e-12, worst,
+                   t_failed)
 
 
 def check_vhat_bound(trace, g_inf, beta1=None, label=""):
@@ -379,11 +370,24 @@ def check_vhat_bound(trace, g_inf, beta1=None, label=""):
     if trace.vhat_history is None:
         raise ValueError("vhat history required; run with record_full")
     lhs = float(np.sqrt(np.max(trace.vhat_history)))
-    rhs = g_inf if beta1 is None else g_inf / (1.0 - beta1)
-    suffix = "sqrt_vhat_le_gmax" if beta1 is None else "sqrt_vhat_le_gmax_scaled"
-    name = _check_name(suffix, label)
-    return CheckReport(check=name, status=_status(lhs <= rhs + 1e-9),
-                       lhs=lhs, rhs=float(rhs), slack=_ratio(lhs, float(rhs)))
+    rhs = float(g_inf if beta1 is None else g_inf / (1.0 - beta1))
+    name = "sqrt_vhat_le_gmax" if beta1 is None else "sqrt_vhat_le_gmax_scaled"
+    return _report(name, label, lhs <= rhs + 1e-9, lhs, rhs, _ratio(lhs, rhs))
+
+
+def _nondecreasing(name, rows, t_first, label):
+    """Report whether no row of ``rows`` falls below the row above it.
+
+    A coordinate may sit below its predecessor by 1e-9 * max(1,
+    predecessor). Row i + 1 is step ``t_first + i``, which ``t_failed``
+    names for the first row that falls; lhs and slack carry the smallest
+    step-to-step difference (0.0 when there is only one row).
+    """
+    prev, cur = rows[:-1], rows[1:]
+    falls = np.flatnonzero((cur < prev - 1e-9 * np.maximum(1.0, prev)).any(axis=1))
+    t_failed = int(falls[0]) + t_first if falls.size else None
+    worst = float(np.min(cur - prev)) if len(rows) > 1 else 0.0
+    return _report(name, label, not falls.size, worst, 0.0, worst, t_failed)
 
 
 def check_adamx_scaled_monotonicity(trace, beta1_seq, label=""):
@@ -392,13 +396,7 @@ def check_adamx_scaled_monotonicity(trace, beta1_seq, label=""):
         raise ValueError("vhat history required; run with record_full")
     seq = _beta1_seq(beta1_seq, trace.T)
     scaled = np.sqrt(trace.vhat_history) / (1.0 - seq)[:, None]
-    tol = 1e-9 * np.maximum(1.0, scaled[:-1])
-    bad = scaled[1:] < scaled[:-1] - tol
-    t_failed = int(np.argwhere(bad.any(axis=1))[0][0]) + 2 if bad.any() else None
-    worst = float(np.min(scaled[1:] - scaled[:-1])) if trace.T > 1 else 0.0
-    name = _check_name("adamx_scaled_monotonicity", label)
-    return CheckReport(check=name, status=_status(not bad.any()),
-                       lhs=worst, rhs=0.0, slack=worst, t_failed=t_failed)
+    return _nondecreasing("adamx_scaled_monotonicity", scaled, 2, label)
 
 
 def check_telescoping_positivity(trace, beta1_seq, label=""):
@@ -410,14 +408,8 @@ def check_telescoping_positivity(trace, beta1_seq, label=""):
     if trace.vhat_history is None:
         raise ValueError("vhat history required; run with record_full")
     terms = _scaled_vhat(trace.vhat_history, _beta1_seq(beta1_seq, trace.T))
-    prev = np.vstack([np.zeros((1, terms.shape[1])), terms[:-1]])
-    tol = 1e-9 * np.maximum(1.0, prev)
-    bad = terms < prev - tol
-    t_failed = int(np.argwhere(bad.any(axis=1))[0][0]) + 1 if bad.any() else None
-    worst = float(np.min(terms - prev))
-    name = _check_name("telescoping_positivity", label)
-    return CheckReport(check=name, status=_status(not bad.any()),
-                       lhs=worst, rhs=0.0, slack=worst, t_failed=t_failed)
+    rows = np.vstack([np.zeros((1, terms.shape[1])), terms])
+    return _nondecreasing("telescoping_positivity", rows, 1, label)
 
 
 def decomposition_terms(trace, h):
@@ -457,9 +449,7 @@ def check_decomposition(trace, h, label=""):
     lhs = float(trace.cumulative_regret[-1])
     rhs = a + b + c
     ok = lhs <= rhs + 1e-9 * max(1.0, abs(rhs))
-    name = _check_name("regret_decomposition", label)
-    return CheckReport(check=name, status=_status(ok),
-                       lhs=lhs, rhs=rhs, slack=_ratio(lhs, rhs))
+    return _report("regret_decomposition", label, ok, lhs, rhs, _ratio(lhs, rhs))
 
 
 # Default corpus for the command-line verification suites: small enough
@@ -472,61 +462,62 @@ _LEMMA_RUNS = (("synthetic", None, None, 1010),
                ("quadratic", 0, 2, 500))
 
 
-def _corpus_problem(kind, seed, d):
-    if kind == "synthetic":
-        return synthetic_problem()
-    return quadratic_problem(seed, d)
+def _suite_runs(runs, schedules, h):
+    """Yield (optimizer, problem, hh, trace) for each corpus entry in
+    ``runs`` under each schedule, amsgrad then adamx, with full histories."""
+    base = h if h is not None else HyperParams()
+    for kind, seed, d, T in runs:
+        problem = synthetic_problem() if kind == "synthetic" else quadratic_problem(seed, d)
+        for schedule in schedules:
+            hh = replace(base, schedule=schedule)
+            for optimizer in ("amsgrad", "adamx"):
+                yield optimizer, problem, hh, run_oco(problem, optimizer, hh, T,
+                                                      record_full=True)
+
+
+def _unless_undefined(name, label, check):
+    """``check()``'s report, or a failed ``name`` report whose note says why
+    the bound it needs is undefined."""
+    try:
+        return check()
+    except BoundUndefined as err:
+        return _report(name, label, False, None, None, None, note=str(err))
 
 
 def _bounds_suite(h=None):
-    base = h if h is not None else HyperParams()
     reports = []
-    for kind, seed, d, T in _BOUNDS_RUNS:
-        problem = _corpus_problem(kind, seed, d)
-        for schedule in (Schedule.EXP_DECAY, Schedule.INVERSE_T):
-            hh = replace(base, schedule=schedule)
-            for optimizer in ("amsgrad", "adamx"):
-                label = f"{optimizer},{schedule.value},{problem.name}"
-                trace = run_oco(problem, optimizer, hh, T, record_full=True)
-                ctx = BoundContext.from_run(trace, problem, hh)
-                try:
-                    if optimizer == "amsgrad":
-                        bound = bound_amsgrad(ctx, schedule)
-                    else:
-                        bound = bound_adamx(ctx, beta1_sequence(hh, T))
-                except BoundUndefined as err:
-                    reports.append(CheckReport(check=_check_name("regret_bound", label),
-                                               status="fail", note=str(err)))
-                    continue
-                reports.append(check_regret_bound(trace, bound, label=label))
+    for optimizer, problem, hh, trace in _suite_runs(
+            _BOUNDS_RUNS, (Schedule.EXP_DECAY, Schedule.INVERSE_T), h):
+        label = f"{optimizer},{hh.schedule.value},{problem.name}"
+        ctx = BoundContext.from_run(trace, problem, hh)
+
+        def check():
+            bound = (bound_amsgrad(ctx, hh.schedule) if optimizer == "amsgrad"
+                     else bound_adamx(ctx, beta1_sequence(hh, trace.T)))
+            return check_regret_bound(trace, bound, label=label)
+
+        reports.append(_unless_undefined("regret_bound", label, check))
     return reports
 
 
 def _lemmas_suite(h=None):
-    base = h if h is not None else HyperParams()
-    hh = replace(base, schedule=Schedule.EXP_DECAY)
     reports = []
-    for kind, seed, d, T in _LEMMA_RUNS:
-        problem = _corpus_problem(kind, seed, d)
-        for optimizer in ("amsgrad", "adamx"):
-            label = f"{optimizer},{problem.name}"
-            trace = run_oco(problem, optimizer, hh, T, record_full=True)
-            seq = beta1_sequence(hh, T)
-            if optimizer == "amsgrad":
-                reports.append(check_vhat_bound(trace, problem.g_inf, label=label))
-            else:
-                reports.append(check_vhat_bound(trace, problem.g_inf,
-                                                beta1=hh.beta1, label=label))
-                reports.append(check_adamx_vhat_closed_form(trace, seq, label=label))
-                reports.append(check_adamx_scaled_monotonicity(trace, seq, label=label))
-                reports.append(check_telescoping_positivity(trace, seq, label=label))
-            try:
-                ctx = BoundContext.from_run(trace, problem, hh)
-                reports.append(check_sum_lemma(trace, ctx, label=label))
-            except BoundUndefined as err:
-                reports.append(CheckReport(check=_check_name("sum_lemma", label),
-                                           status="fail", note=str(err)))
-            reports.append(check_decomposition(trace, hh, label=label))
+    for optimizer, problem, hh, trace in _suite_runs(_LEMMA_RUNS, (Schedule.EXP_DECAY,), h):
+        label = f"{optimizer},{problem.name}"
+        if optimizer == "amsgrad":
+            reports.append(check_vhat_bound(trace, problem.g_inf, label=label))
+        else:
+            seq = beta1_sequence(hh, trace.T)
+            reports += [
+                check_vhat_bound(trace, problem.g_inf, beta1=hh.beta1, label=label),
+                check_adamx_vhat_closed_form(trace, seq, label=label),
+                check_adamx_scaled_monotonicity(trace, seq, label=label),
+                check_telescoping_positivity(trace, seq, label=label),
+            ]
+        ctx = BoundContext.from_run(trace, problem, hh)
+        reports.append(_unless_undefined(
+            "sum_lemma", label, lambda: check_sum_lemma(trace, ctx, label=label)))
+        reports.append(check_decomposition(trace, hh, label=label))
     return reports
 
 

@@ -11,6 +11,7 @@ alpha=0.001, beta1=0.9, beta2=0.999, lambda=0.001, t0=1, column norm 1010):
                    = 32083.488...   with gamma = 0.9/sqrt(0.999)
 """
 
+import hashlib
 import json
 import math
 from dataclasses import replace
@@ -252,9 +253,9 @@ def test_t0_schedule_goldens():
 def test_t0_trajectory_agrees_with_schedule_on_synthetic():
     p = synthetic_problem()
     tr = run_oco(p, "amsgrad", H_EXP, 1000, record_full=True)
-    assert find_t0(H_EXP, tr.vhat_history, 1000) == 2
+    assert find_t0(H_EXP, tr.vhat_history) == 2
     tr_inv = run_oco(p, "amsgrad", H_INV, 1000, record_full=True)
-    assert find_t0(H_INV, tr_inv.vhat_history, 1000) == 3
+    assert find_t0(H_INV, tr_inv.vhat_history) == 3
 
 
 def test_t0_hand_example():
@@ -262,14 +263,14 @@ def test_t0_hand_example():
     # vhat = [4, 1] violates it at t=2 (2*1 < 1*4), so t0 = T = 2
     h = HyperParams(schedule=Schedule.CONSTANT)
     vhat = np.array([[4.0], [1.0]])
-    assert find_t0(h, vhat, 2) == 2
+    assert find_t0(h, vhat) == 2
     # vhat = [1, 4] satisfies it everywhere, so t0 = 1
-    assert find_t0(h, np.array([[1.0], [4.0]]), 2) == 1
+    assert find_t0(h, np.array([[1.0], [4.0]])) == 1
 
 
 def test_t0_requires_history():
     with pytest.raises(ValueError):
-        find_t0(H_EXP, None, 10)
+        find_t0(H_EXP, None)
 
 
 def test_context_from_run():
@@ -364,6 +365,34 @@ def loop_find_t0(h, vhat, T):
     return last_fail
 
 
+def loop_monotonicity(trace, seq):
+    """check_adamx_scaled_monotonicity as a per-step scan; returns
+    (status, t_failed, worst)."""
+    worst, t_failed = 0.0 if trace.T == 1 else math.inf, None
+    prev = np.sqrt(trace.vhat_history[0]) / (1.0 - seq[0])
+    for t in range(2, trace.T + 1):
+        cur = np.sqrt(trace.vhat_history[t - 1]) / (1.0 - seq[t - 1])
+        if t_failed is None and np.any(cur < prev - 1e-9 * np.maximum(1.0, prev)):
+            t_failed = t
+        worst = min(worst, float(np.min(cur - prev)))
+        prev = cur
+    return ("pass" if t_failed is None else "fail"), t_failed, worst
+
+
+def loop_telescoping(trace, seq):
+    """check_telescoping_positivity as a per-step scan, the t = 1 term
+    compared against 0; returns (status, t_failed, worst)."""
+    worst, t_failed = math.inf, None
+    prev = np.zeros(trace.vhat_history.shape[1])
+    for t in range(1, trace.T + 1):
+        cur = np.sqrt(t * trace.vhat_history[t - 1]) / (1.0 - seq[t - 1])
+        if t_failed is None and np.any(cur < prev - 1e-9 * np.maximum(1.0, prev)):
+            t_failed = t
+        worst = min(worst, float(np.min(cur - prev)))
+        prev = cur
+    return ("pass" if t_failed is None else "fail"), t_failed, worst
+
+
 def quadratic_closed_form(trace, seq):
     """The O(T^2) closed-form check that the running maximum replaced;
     returns (status, worst, t_failed)."""
@@ -399,22 +428,40 @@ def equivalence_runs():
 
 
 # (row, factor): scale the step-(row+1) vhat; 1 - 1e-13 stays inside the
-# 1e-12 tolerance, the others break it and the t0 ordering
+# 1e-12 tolerance, the others break it and the t0 ordering; 1 - 1e-8 moves
+# a scaled term by about 5e-9 of itself, past the ordering checks' 1e-9
 @pytest.mark.parametrize("tamper", [None, (0, 0.5), (1, 1.0 + 1e-9), (137, 1.0 - 1e-13),
-                                    (250, 2.0), (251, 0.25), (EQUIV_T - 1, 0.5)])
+                                    (250, 2.0), (251, 0.25), (300, 1.0 - 1e-8),
+                                    (EQUIV_T - 1, 0.5)])
 def test_rewritten_checks_match_loop_references(equivalence_runs, tamper):
     for h, run in equivalence_runs:
         trace = replace(run, vhat_history=run.vhat_history.copy())
         if tamper is not None:
             row, factor = tamper
             trace.vhat_history[row] *= factor
-        assert (find_t0(h, trace.vhat_history, EQUIV_T)
+        assert (find_t0(h, trace.vhat_history)
                 == loop_find_t0(h, trace.vhat_history, EQUIV_T))
         seq = beta1_sequence(h, EQUIV_T)
         report = check_adamx_vhat_closed_form(trace, seq)
         status, worst, t_failed = quadratic_closed_form(trace, seq)
         assert (report.status, report.t_failed) == (status, t_failed)
         assert abs(report.lhs - worst) <= 1e-15
+        for check, loop in ((check_adamx_scaled_monotonicity, loop_monotonicity),
+                            (check_telescoping_positivity, loop_telescoping)):
+            report = check(trace, seq)
+            status, t_failed, worst = loop(trace, seq)
+            assert (report.status, report.t_failed) == (status, t_failed)
+            assert report.lhs == report.slack == worst
+
+
+def test_ordering_checks_on_a_one_step_run():
+    tr = run_oco(synthetic_problem(), "adamx", H_EXP, 1, record_full=True)
+    seq = beta1_sequence(H_EXP, 1)
+    for check, loop in ((check_adamx_scaled_monotonicity, loop_monotonicity),
+                        (check_telescoping_positivity, loop_telescoping)):
+        report = check(tr, seq)
+        assert (report.status, report.t_failed, report.lhs) == loop(tr, seq)
+    assert check_adamx_scaled_monotonicity(tr, seq).lhs == 0.0
 
 
 def test_monotonicity_and_telescoping_on_adamx():
@@ -560,6 +607,18 @@ def test_run_suite_all_passes():
     reports = run_suite("all")
     assert len(reports) > 20
     assert all(r.status == "pass" for r in reports)
+
+
+# SHA-256 of the JSON list of every report's to_dict() from run_suite("all"):
+# a label, the report order, a value or a note that moves changes it
+@pytest.mark.parametrize("beta2, digest", [
+    (None, "0292130520416f810f024ea48ef4695000a03a4e00b8715eaaf6c6b6ea802cb6"),
+    (0.81, "8d9546623c108998dde89b6fbd33936169d445fd81e237674c0ebe64f3fa8f2c"),
+])
+def test_run_suite_all_reports_are_pinned(beta2, digest):
+    h = None if beta2 is None else HyperParams(beta2=beta2)
+    payload = json.dumps([r.to_dict() for r in run_suite("all", h=h)])
+    assert hashlib.sha256(payload.encode()).hexdigest() == digest
 
 
 def test_run_suite_rejects_unknown_selector():
