@@ -10,7 +10,7 @@ from .errors import BoundUndefined, NumericFault, VerificationFailure
 from .harness import (ProblemInstance, RegretTrace, average_regret,
                       comparator_oracle, quadratic_problem, run_oco,
                       synthetic_problem, toy_training_problem)
-from .numerics import FeasibleBox, as_vector, l2_norm_columns, project_box
+from .numerics import FeasibleBox, as_vector, project_box
 from .optimizers import (HyperParams, OptimizerState, Schedule, alpha_at,
                          beta1_at, fresh_state, resolve_stepper, step_adam,
                          step_adamx, step_amsgrad)
@@ -36,7 +36,7 @@ __all__ = [
     "check_decomposition", "check_regret_bound", "check_sum_lemma",
     "check_telescoping_positivity", "check_vhat_bound", "comparator_oracle",
     "decomposition_terms", "example_hyperparams", "find_t0", "fresh_state",
-    "l2_norm_columns", "project_box", "quadratic_problem",
+    "project_box", "quadratic_problem",
     "reproduce_counterexample", "resolve_stepper", "run_oco", "run_suite",
     "step_adam", "step_adamx", "step_amsgrad", "synthetic_problem",
     "toy_training_problem", "__version__",

@@ -67,12 +67,12 @@ def _type_ok(kind, value):
 class ExperimentConfig:
     problem: str = "synthetic"
     optimizer: str = "amsgrad"
-    schedule: str = "exp"
-    alpha: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    lam: float = 0.001
-    epsilon: float = 0.0
+    schedule: str = HyperParams.schedule.value
+    alpha: float = HyperParams.alpha
+    beta1: float = HyperParams.beta1
+    beta2: float = HyperParams.beta2
+    lam: float = HyperParams.lam
+    epsilon: float = HyperParams.epsilon
     steps: int = 1000
     seed: int = 0
     dim: int = 2
@@ -290,8 +290,7 @@ def _flag_overrides(args):
 
 
 def cmd_verify(args):
-    overrides = {dest: getattr(args, dest) for _, dest in _HYPER_FLAGS
-                 if getattr(args, dest) is not None}
+    overrides = _flag_overrides(args)
     h = None
     if overrides:
         try:
@@ -299,6 +298,8 @@ def cmd_verify(args):
         except ValueError as err:
             print(f"invalid hyperparameters: {err}", file=sys.stderr)
             return EXIT_USAGE
+    if args.output and not _writable(args.output):
+        return EXIT_USAGE
     reports = run_suite(args.suite, h=h)
     all_pass = all(r.passed for r in reports)
     payload = {

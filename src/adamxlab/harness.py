@@ -84,16 +84,15 @@ def synthetic_problem():
     )
 
 
-def quadratic_problem(seed, d, box=None, fixed_center=None):
+def quadratic_problem(seed, d, box=None):
     """f_t(x) = 0.5 ||x - c_t||^2 with seeded centers drawn in the box.
 
     The gradient is x - c_t, so with both points in the box its largest
     coordinate never exceeds the box diameter, which therefore serves as
     g_inf. The best fixed point for a horizon T is the mean of the first
-    T centers clamped into the box. ``fixed_center`` freezes every c_t
-    to one given point. Otherwise c_t is lower + r * (upper - lower) with
-    r = default_rng((seed, t)).random(d), filled 4096 t at a time on first
-    demand (see ``keyed``), so it is the same in any access order.
+    T centers clamped into the box. c_t is lower + r * (upper - lower)
+    with r = default_rng((seed, t)).random(d), filled 4096 t at a time on
+    first demand (see ``keyed``), so it is the same in any access order.
     """
     if d < 1:
         raise ValueError("dimension must be >= 1")
@@ -101,15 +100,8 @@ def quadratic_problem(seed, d, box=None, fixed_center=None):
         box = FeasibleBox.cube(-1.0, 1.0, d)
     if box.dim != d:
         raise ValueError(f"dimension mismatch: expected {d}, got {box.dim}")
-    if fixed_center is not None:
-        fixed_center = as_vector(fixed_center, dim=d)
-        if not box.contains(fixed_center):
-            raise ValueError("fixed center must lie in the box")
-        centers = keyed.KeyedTable(lambda ts: np.tile(fixed_center, (len(ts), 1)))
-    else:
-        width = box.upper - box.lower
-        centers = keyed.KeyedTable(
-            lambda ts: box.lower + keyed.uniform(seed, ts, d) * width)
+    width = box.upper - box.lower
+    centers = keyed.KeyedTable(lambda ts: box.lower + keyed.uniform(seed, ts, d) * width)
     center = centers.row
 
     def cost(t, x):
@@ -135,31 +127,27 @@ def quadratic_problem(seed, d, box=None, fixed_center=None):
     )
 
 
-def toy_training_problem(seed=0, n_points=200, batch_size=16):
-    """Logistic regression on a seeded 2-d two-Gaussian mixture.
+def toy_training_problem(seed=0):
+    """Logistic regression on a seeded 2-d two-Gaussian mixture of 200 points.
 
     Parameters are (w1, w2, b) in the box [-10, 10]^3. f_t is the mean
-    logistic loss of a minibatch drawn by a generator keyed on (seed, t),
-    so paired optimizer runs face the identical cost sequence. The
-    minibatch indices are filled 4096 t at a time on first demand (see
-    ``keyed``) and kept per problem, so cost, grad and the comparator
-    share each draw and see the same rows in any access order.
-    Gradients are analytic. The per-sample gradient magnitude
-    never exceeds the largest feature magnitude (the sigmoid factor is
-    below 1), which gives g_inf from the data alone. scipy is imported
+    logistic loss of a minibatch of 16 points drawn by a generator keyed
+    on (seed, t), so paired optimizer runs face the identical cost
+    sequence. The minibatch indices are filled 4096 t at a time on first
+    demand (see ``keyed``) and kept per problem, so cost, grad and the
+    comparator share each draw and see the same rows in any access order.
+    Gradients are analytic. The per-sample gradient magnitude never
+    exceeds the largest feature magnitude (the sigmoid factor is below
+    1), which gives g_inf from the data alone. scipy is imported
     only when a gradient or a comparator is first computed, so building
     the problem, or any other problem, does not load it.
     """
     rng = np.random.default_rng(seed)
-    half = n_points // 2
-    xs = np.vstack([
-        rng.normal(-1.0, 1.0, size=(half, 2)),
-        rng.normal(1.0, 1.0, size=(n_points - half, 2)),
-    ])
-    ys = np.concatenate([-np.ones(half), np.ones(n_points - half)])
+    xs = np.vstack([rng.normal(-1.0, 1.0, size=(100, 2)), rng.normal(1.0, 1.0, size=(100, 2))])
+    ys = np.concatenate([-np.ones(100), np.ones(100)])
     box = FeasibleBox.cube(-10.0, 10.0, 3)
     g_inf = max(1.0, float(np.max(np.abs(xs))))
-    indices = keyed.KeyedTable(lambda ts: keyed.integers(seed, ts, n_points, batch_size))
+    indices = keyed.KeyedTable(lambda ts: keyed.integers(seed, ts, 200, 16))
 
     def margins(theta, xb, yb):
         return yb * (xb @ theta[:2] + theta[2])
@@ -191,7 +179,7 @@ def toy_training_problem(seed=0, n_points=200, batch_size=16):
         idx = indices.rows(1, T + 1)
         x = np.broadcast_to(x, (T, 3))
         m = ys[idx] * ((xs[idx] @ x[:, :2, None])[..., 0] + x[:, 2:3])
-        return np.logaddexp(0.0, -m).sum(axis=1) / batch_size
+        return np.logaddexp(0.0, -m).sum(axis=1) / 16
 
     def full_objective(theta):
         return loss(margins(theta, xs, ys))

@@ -85,18 +85,3 @@ def project_box(y, box):
     y = as_vector(y, dim=box.dim)
     return np.minimum(np.maximum(y, box.lower), box.upper)
 
-
-def l2_norm_columns(history, i):
-    """Euclidean norm of coordinate ``i`` across a gradient history.
-
-    ``history`` is a sequence of equal-length vectors (or a T x d
-    array); the result is sqrt(sum over t of history[t][i]^2).
-    """
-    h = np.asarray(history, dtype=np.float64)
-    if h.ndim == 1:
-        h = h.reshape(-1, 1)
-    if h.ndim != 2 or h.shape[0] == 0:
-        raise ValueError("history must be a nonempty sequence of vectors")
-    if not 0 <= i < h.shape[1]:
-        raise ValueError(f"coordinate index {i} out of range for dimension {h.shape[1]}")
-    return float(np.sqrt(np.sum(h[:, i] ** 2)))

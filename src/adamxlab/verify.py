@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import BoundUndefined, VerificationFailure
 from .harness import quadratic_problem, run_oco, synthetic_problem
-from .numerics import l2_norm_columns
 from .optimizers import HyperParams, Schedule, beta1_rule
 
 # Frozen values for the three-step sign-flip run (x1 = 1, comparator -1,
@@ -101,17 +100,15 @@ def _ratio(lhs, rhs):
     return rhs / lhs if lhs > 0.0 else math.inf
 
 
-def reproduce_counterexample(comparator=-1.0, tol=_GOLDEN_TOL):
+def reproduce_counterexample():
     """Replay the two-step sign-flip run and return [(t, delta_t, sign)].
 
     The run goes through ``run_oco`` like every named run, so the frozen
     constants pin the run kernel that produces the library's results.
-    With the default comparator -1 every intermediate quantity is
-    compared against the frozen constants above; the first one that
-    drifts beyond ``tol`` raises VerificationFailure naming it, as does
-    a wrong sign pattern. Passing a different comparator re-evaluates
-    the deltas against that point (the trajectory itself does not
-    depend on the comparator).
+    Every intermediate quantity, the deltas against the comparator -1
+    included, is compared against the frozen constants above; the first
+    one that drifts beyond ``_GOLDEN_TOL`` raises VerificationFailure
+    naming it, as does a wrong sign pattern.
     """
     trace = run_oco(synthetic_problem(), "amsgrad", example_hyperparams(), 2,
                     record_full=True)
@@ -120,30 +117,27 @@ def reproduce_counterexample(comparator=-1.0, tol=_GOLDEN_TOL):
     vs = trace.v_history[:, 0].tolist()
     vhats = trace.vhat_history[:, 0].tolist()
 
-    deltas = [(xs[t] - comparator) ** 2 - (xs[t + 1] - comparator) ** 2
-              for t in (0, 1)]
+    # the gaps against the comparator -1: x - (-1) rounds exactly as x + 1.0
+    deltas = [(xs[t] + 1.0) ** 2 - (xs[t + 1] + 1.0) ** 2 for t in (0, 1)]
 
-    if comparator == -1.0:
-        observed = [
-            ("m1", ms[0], GOLDEN_M1),
-            ("v1", vs[0], GOLDEN_V1),
-            ("x2", xs[1], GOLDEN_X2),
-            ("m2", ms[1], GOLDEN_M2),
-            ("v2", vs[1], GOLDEN_V2),
-            ("vhat2", vhats[1], GOLDEN_VHAT2),
-            ("x3", xs[2], GOLDEN_X3),
-            ("delta1", deltas[0], GOLDEN_DELTA1),
-            ("delta2", deltas[1], GOLDEN_DELTA2),
-        ]
-        for name, got, want in observed:
-            if abs(got - want) > tol:
-                raise VerificationFailure(
-                    f"{name} diverged: got {got!r}, expected {want!r}",
-                    quantity=name)
-        if not (deltas[0] > 0.0 and deltas[1] < 0.0):
-            raise VerificationFailure(
-                f"expected delta1 > 0 > delta2, got {deltas}",
-                quantity="delta_signs")
+    observed = [
+        ("m1", ms[0], GOLDEN_M1),
+        ("v1", vs[0], GOLDEN_V1),
+        ("x2", xs[1], GOLDEN_X2),
+        ("m2", ms[1], GOLDEN_M2),
+        ("v2", vs[1], GOLDEN_V2),
+        ("vhat2", vhats[1], GOLDEN_VHAT2),
+        ("x3", xs[2], GOLDEN_X3),
+        ("delta1", deltas[0], GOLDEN_DELTA1),
+        ("delta2", deltas[1], GOLDEN_DELTA2),
+    ]
+    for name, got, want in observed:
+        if abs(got - want) > _GOLDEN_TOL:
+            raise VerificationFailure(f"{name} diverged: got {got!r}, expected {want!r}",
+                                      quantity=name)
+    if not (deltas[0] > 0.0 and deltas[1] < 0.0):
+        raise VerificationFailure(f"expected delta1 > 0 > delta2, got {deltas}",
+                                  quantity="delta_signs")
 
     return [(t + 1, d, "+" if d > 0 else "-") for t, d in enumerate(deltas)]
 
@@ -214,16 +208,19 @@ def find_t0(h, vhat_history):
 
 @dataclass
 class BoundContext:
-    """Constants a regret bound consumes, extracted from one finished run."""
+    """Constants a regret bound consumes, extracted from one finished run.
+
+    ``h`` is the run's ``HyperParams``: the bounds and lemmas read alpha,
+    beta1, beta2, lambda and gamma from it and keep no copy of their own.
+    ``grad_col_norms`` holds the Euclidean norm of each coordinate's
+    gradient history, sqrt(sum over t of g_{t,i}^2).
+    """
 
     T: int
     d: int
     d_inf: float
     g_inf: float
-    alpha: float
-    beta1: float
-    beta2: float
-    lam: float
+    h: HyperParams
     t0: int
     grad_col_norms: Sequence[float]
 
@@ -231,38 +228,25 @@ class BoundContext:
         if not 1 <= self.t0 <= self.T:
             raise ValueError(f"t0 must lie in [1, {self.T}], got {self.t0}")
 
-    @property
-    def gamma(self):
-        """beta1/sqrt(beta2), the expression ``HyperParams.gamma`` uses."""
-        return self.beta1 / math.sqrt(self.beta2)
-
     @classmethod
     def from_run(cls, trace, problem, h):
-        return cls(
-            T=trace.T,
-            d=problem.d,
-            d_inf=problem.box.diameter,
-            g_inf=problem.g_inf,
-            alpha=h.alpha,
-            beta1=h.beta1,
-            beta2=h.beta2,
-            lam=h.lam,
-            t0=find_t0(h, trace.vhat_history),
-            grad_col_norms=[l2_norm_columns(trace.gradient_history, i)
-                            for i in range(problem.d)],
-        )
+        G = trace.gradient_history
+        return cls(T=trace.T, d=problem.d, d_inf=problem.box.diameter, g_inf=problem.g_inf,
+                   h=h, t0=find_t0(h, trace.vhat_history),
+                   grad_col_norms=[float(np.sqrt(np.sum(G[:, i] ** 2)))
+                                   for i in range(problem.d)])
 
 
 def _require_gamma(ctx):
-    if ctx.gamma >= 1.0:
-        if ctx.gamma == 1.0:
-            raise BoundUndefined("bound undefined at γ=1")
-        raise BoundUndefined(f"bound undefined for γ ≥ 1 (γ={ctx.gamma})")
+    # HyperParams already rejects gamma > 1
+    if ctx.h.gamma == 1.0:
+        raise BoundUndefined("bound undefined at γ=1")
 
 
 def _gradient_sum_term(ctx):
-    return (ctx.alpha * math.sqrt(math.log(ctx.T) + 1.0)
-            / ((1.0 - ctx.beta1) ** 2 * math.sqrt(1.0 - ctx.beta2) * (1.0 - ctx.gamma))
+    h = ctx.h
+    return (h.alpha * math.sqrt(math.log(ctx.T) + 1.0)
+            / ((1.0 - h.beta1) ** 2 * math.sqrt(1.0 - h.beta2) * (1.0 - h.gamma))
             * float(np.sum(ctx.grad_col_norms)))
 
 
@@ -272,14 +256,15 @@ def amsgrad_bound_terms(ctx, schedule):
     if schedule == Schedule.CONSTANT:
         raise ValueError("the bound requires a decaying beta1 schedule")
     _require_gamma(ctx)
+    h = ctx.h
     base = ctx.d * ctx.d_inf ** 2 * ctx.g_inf
-    lead = base / (2.0 * ctx.alpha * (1.0 - ctx.beta1))
+    lead = base / (2.0 * h.alpha * (1.0 - h.beta1))
     head = sum(math.sqrt(t) for t in range(1, ctx.t0 + 1))
     term1 = lead * (head + math.sqrt(ctx.T))
     if schedule == Schedule.EXP_DECAY:
-        term2 = lead / (1.0 - ctx.lam) ** 2
+        term2 = lead / (1.0 - h.lam) ** 2
     else:
-        term2 = base * math.sqrt(ctx.T) / (ctx.alpha * (1.0 - ctx.beta1))
+        term2 = base * math.sqrt(ctx.T) / (h.alpha * (1.0 - h.beta1))
     return term1, term2, _gradient_sum_term(ctx)
 
 
@@ -300,7 +285,7 @@ def adamx_bound_terms(ctx, beta1_seq, statement_coefficients=False):
     seq = _beta1_seq(beta1_seq, ctx.T)
     power = 1 if statement_coefficients else 2
     lead = (ctx.d * ctx.d_inf ** 2 * ctx.g_inf
-            / (2.0 * ctx.alpha * (1.0 - ctx.beta1) ** power))
+            / (2.0 * ctx.h.alpha * (1.0 - ctx.h.beta1) ** power))
     term1 = lead * math.sqrt(ctx.T)
     if ctx.T > 1:
         ts = np.arange(2, ctx.T + 1, dtype=np.float64)
@@ -337,7 +322,7 @@ def check_sum_lemma(trace, ctx, label=""):
     np.divide(trace.m_history ** 2, denom, out=contrib, where=denom > 0.0)
     lhs = contrib.sum(axis=0)
     coeff = (math.sqrt(math.log(trace.T) + 1.0)
-             / ((1.0 - ctx.beta1) * math.sqrt(1.0 - ctx.beta2) * (1.0 - ctx.gamma)))
+             / ((1.0 - ctx.h.beta1) * math.sqrt(1.0 - ctx.h.beta2) * (1.0 - ctx.h.gamma)))
     rhs = coeff * np.asarray(ctx.grad_col_norms, dtype=np.float64)
     ok = bool(np.all(lhs <= rhs + 1e-9))
     worst = int(np.argmax(lhs - rhs))

@@ -584,6 +584,10 @@ def test_batch_unwritable_entry_fails_alone(tmp_path, capsys, monkeypatch):
     assert err.strip() == f"cannot write {bad}: No such file or directory"
 
 
+def test_config_defaults_are_the_library_defaults():
+    assert ExperimentConfig().hyperparams() == HyperParams()
+
+
 def test_history_size_limit_counts_the_problem_dimension():
     limit = sys.maxsize // 8
     ExperimentConfig(steps=limit - 1).validate()
@@ -649,6 +653,18 @@ def test_verify_unwritable_output_exits_2(tmp_path, capsys):
     code, out, err = run_cli(["verify", "counterexample", "--output", str(target)], capsys)
     assert code == 2
     assert out == ""
+    assert err.strip() == f"cannot write {target}: No such file or directory"
+
+
+def test_verify_probes_output_before_running_suites(tmp_path, capsys, monkeypatch):
+    from adamxlab import cli
+
+    calls = []
+    monkeypatch.setattr(cli, "run_suite", lambda *args, **kwargs: calls.append(args))
+    target = tmp_path / "missing" / "r.json"
+    code, out, err = run_cli(["verify", "all", "--output", str(target)], capsys)
+    assert code == 2
+    assert calls == []
     assert err.strip() == f"cannot write {target}: No such file or directory"
 
 

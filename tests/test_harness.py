@@ -137,18 +137,10 @@ def test_comparator_perturbation_optimality():
             assert total(probe) >= base - 1e-6
 
 
-def test_quadratic_fixed_center():
-    center = np.array([0.25, -0.5])
-    p = quadratic_problem(0, 2, fixed_center=center)
-    for t in (1, 2, 17):
-        np.testing.assert_array_equal(p.grad(t, np.zeros(2)), -center)
-    np.testing.assert_allclose(comparator_oracle(p, 5), center, atol=1e-12)
-
-
 def test_quadratic_zero_gradient_run():
-    # starting exactly at a fixed center leaves every gradient at zero
+    # a run whose every gradient is zero never leaves its starting point
     center = np.zeros(2)
-    p = quadratic_problem(0, 2, fixed_center=center)
+    p = constant_problem([0.0, 0.0])
     trace = run_oco(p, "amsgrad", H_REF, 20, x1=center, record_full=True)
     assert np.all(trace.gradient_history == 0.0)
     assert np.all(trace.cumulative_regret == 0.0)
@@ -160,8 +152,6 @@ def test_quadratic_validation():
         quadratic_problem(0, 0)
     with pytest.raises(ValueError):
         quadratic_problem(0, 2, box=FeasibleBox.cube(-1.0, 1.0, 3))
-    with pytest.raises(ValueError):
-        quadratic_problem(0, 1, fixed_center=np.array([99.0]))
 
 
 def test_quadratic_deterministic_in_seed():

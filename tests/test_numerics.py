@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from adamxlab import FeasibleBox, as_vector, l2_norm_columns, project_box
+from adamxlab import FeasibleBox, as_vector, project_box
 
 
 def test_box_requires_matching_shapes():
@@ -65,9 +65,3 @@ def test_linf_norm():
     assert linf_norm(np.array([1.0, -3.0, 2.0])) == 3.0
     assert linf_norm(np.zeros(2)) == 0.0
 
-
-def test_l2_norm_columns():
-    g = np.array([[3.0, 0.0], [4.0, 2.0]])
-    # column 0: sqrt(9 + 16) = 5, column 1: sqrt(0 + 4) = 2
-    assert l2_norm_columns(g, 0) == 5.0
-    assert l2_norm_columns(g, 1) == 2.0

@@ -19,8 +19,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from adamxlab import (BoundContext, BoundUndefined, HyperParams, Schedule,
-                      VerificationFailure, adamx_bound_terms,
+from adamxlab import (BoundContext, BoundUndefined, FeasibleBox, HyperParams,
+                      ProblemInstance, Schedule, VerificationFailure, adamx_bound_terms,
                       amsgrad_bound_terms, beta1_at, beta1_sequence, bound_adamx,
                       bound_amsgrad, check_adamx_scaled_monotonicity,
                       check_adamx_vhat_closed_form, check_counterexample,
@@ -29,7 +29,7 @@ from adamxlab import (BoundContext, BoundUndefined, HyperParams, Schedule,
                       alpha_at, decomposition_terms, find_t0,
                       quadratic_problem, reproduce_counterexample, run_oco,
                       run_suite, synthetic_problem)
-from adamxlab import harness
+from adamxlab import harness, verify
 from adamxlab.optimizers import run_scalar
 from adamxlab.verify import SUITES, example_hyperparams
 
@@ -39,9 +39,9 @@ H_INV = HyperParams(alpha=0.001, beta1=0.9, beta2=0.999, lam=0.001,
 
 
 def reference_context(T=1, t0=1):
-    return BoundContext(T=T, d=1, d_inf=2.0, g_inf=1010.0, alpha=0.001,
-                        beta1=0.9, beta2=0.999, lam=0.001, t0=t0,
-                        grad_col_norms=np.array([1010.0] * 1))
+    return BoundContext(T=T, d=1, d_inf=2.0, g_inf=1010.0,
+                        h=HyperParams(alpha=0.001, beta1=0.9, beta2=0.999, lam=0.001),
+                        t0=t0, grad_col_norms=np.array([1010.0] * 1))
 
 
 # ------------------------------------------------------------ counterexample
@@ -61,15 +61,16 @@ def test_counterexample_sign_structure():
 def test_counterexample_inverts_against_plus_one():
     # against the comparator +1 the first squared-distance gap flips sign,
     # which is exactly what makes the -1 case a counter-example
-    rows = reproduce_counterexample(comparator=1.0)
-    assert rows[0][1] < 0
+    xs = run_oco(synthetic_problem(), "amsgrad", H_EXP, 2, record_iterates=True).iterates[:, 0]
+    assert (xs[0] - 1.0) ** 2 - (xs[1] - 1.0) ** 2 < 0
 
 
-def test_counterexample_golden_guard_names_first_divergence():
+def test_counterexample_golden_guard_names_first_divergence(monkeypatch):
     # at zero tolerance the first quantity to differ from its recorded
     # decimal is m1 (stored as 100.99999999999997, recorded as 101)
+    monkeypatch.setattr(verify, "_GOLDEN_TOL", 0.0)
     with pytest.raises(VerificationFailure) as info:
-        reproduce_counterexample(tol=0.0)
+        reproduce_counterexample()
     assert info.value.quantity == "m1"
 
 
@@ -133,9 +134,7 @@ def test_adamx_statement_coefficient_flag():
 
 def test_bound_scales_exactly_with_alpha():
     ctx1 = reference_context()
-    ctx2 = BoundContext(T=1, d=1, d_inf=2.0, g_inf=1010.0, alpha=0.002,
-                        beta1=0.9, beta2=0.999, lam=0.001, t0=1,
-                        grad_col_norms=np.array([1010.0]))
+    ctx2 = replace(ctx1, h=replace(ctx1.h, alpha=0.002))
     a = amsgrad_bound_terms(ctx1, Schedule.EXP_DECAY)
     b = amsgrad_bound_terms(ctx2, Schedule.EXP_DECAY)
     # the first two terms carry alpha in the denominator, the third in the
@@ -146,8 +145,7 @@ def test_bound_scales_exactly_with_alpha():
 
 
 def test_zero_gradients_zero_out_gradient_term():
-    ctx = BoundContext(T=5, d=2, d_inf=2.0, g_inf=1.0, alpha=0.001,
-                       beta1=0.9, beta2=0.999, lam=0.001, t0=1,
+    ctx = BoundContext(T=5, d=2, d_inf=2.0, g_inf=1.0, h=H_EXP, t0=1,
                        grad_col_norms=np.zeros(2))
     assert amsgrad_bound_terms(ctx, Schedule.EXP_DECAY)[2] == 0.0
     assert adamx_bound_terms(ctx, beta1_sequence(H_EXP, 5))[2] == 0.0
@@ -169,22 +167,13 @@ def test_bound_monotone_in_horizon():
 
 def test_gamma_one_is_undefined():
     # beta2 = 0.81 makes sqrt(beta2) exactly 0.9, so gamma == 1
-    ctx = BoundContext(T=1, d=1, d_inf=2.0, g_inf=1.0, alpha=0.001,
-                       beta1=0.9, beta2=0.81, lam=0.001, t0=1,
+    ctx = BoundContext(T=1, d=1, d_inf=2.0, g_inf=1.0, h=replace(H_EXP, beta2=0.81), t0=1,
                        grad_col_norms=np.array([1.0]))
-    assert ctx.gamma == 1.0
+    assert ctx.h.gamma == 1.0
     with pytest.raises(BoundUndefined, match="bound undefined at γ=1"):
         bound_amsgrad(ctx, Schedule.EXP_DECAY)
     with pytest.raises(BoundUndefined):
         bound_adamx(ctx, np.array([0.9]))
-
-
-def test_gamma_above_one_is_undefined():
-    ctx = BoundContext(T=1, d=1, d_inf=2.0, g_inf=1.0, alpha=0.001,
-                       beta1=0.95, beta2=0.81, lam=0.001, t0=1,
-                       grad_col_norms=np.array([1.0]))
-    with pytest.raises(BoundUndefined):
-        bound_amsgrad(ctx, Schedule.EXP_DECAY)
 
 
 def test_adamx_momentum_term_is_direct_sum():
@@ -284,6 +273,19 @@ def test_context_from_run():
     assert ctx.t0 == 2
     expected_norm = math.sqrt(float(np.sum(tr.gradient_history ** 2)))
     assert abs(ctx.grad_col_norms[0] - expected_norm) <= 1e-12 * expected_norm
+    assert ctx.h is H_EXP
+
+
+def test_context_column_norms():
+    # column 0: sqrt(9 + 16) = 5, column 1: sqrt(0 + 4) = 2
+    g = np.array([[3.0, 0.0], [4.0, 2.0]])
+    p = ProblemInstance(d=2, cost=lambda t, x: 0.0, grad=lambda t, x: g[t - 1],
+                        box=FeasibleBox.cube(-1.0, 1.0, 2), g_inf=4.0,
+                        costs=lambda T, x: np.zeros(T),
+                        comparator_for=lambda T: np.zeros(2))
+    tr = run_oco(p, "amsgrad", H_EXP, 2, record_full=True)
+    np.testing.assert_array_equal(tr.gradient_history, g)
+    assert BoundContext.from_run(tr, p, H_EXP).grad_col_norms == [5.0, 2.0]
 
 
 # ------------------------------------------------------------ lemma checks
