@@ -19,7 +19,6 @@ import sys
 import warnings
 from dataclasses import dataclass, fields
 from typing import Optional
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -371,6 +370,11 @@ def _scan_rows(path, width, cols):
     return np.array(rows, dtype=np.float64).reshape(-1, width)
 
 
+def _escape(text):
+    """``text`` with &, < and > written as XML entities, & first."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _svg_chart(series, column):
     width, height = 800, 500
     left, right, top, bottom = 70, 210, 20, 50
@@ -418,7 +422,7 @@ def _svg_chart(series, column):
                  f'text-anchor="middle">t</text>')
     parts.append(f'<text x="18" y="{top + plot_h / 2:.2f}" font-size="14" '
                  f'text-anchor="middle" transform="rotate(-90 18 {top + plot_h / 2:.2f})">'
-                 f'{escape(label)}</text>')
+                 f'{_escape(label)}</text>')
     for idx, (ts, vals, name) in enumerate(series):
         color = _PALETTE[idx % len(_PALETTE)]
         points = " ".join(f"{px(t):.2f},{py(y):.2f}" for t, y in zip(ts, vals))
@@ -428,7 +432,7 @@ def _svg_chart(series, column):
         lx = left + plot_w + 14
         parts.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" '
                      f'stroke="{color}" stroke-width="2"/>')
-        parts.append(f'<text x="{lx + 28}" y="{ly}" font-size="12">{escape(name)}</text>')
+        parts.append(f'<text x="{lx + 28}" y="{ly}" font-size="12">{_escape(name)}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

@@ -26,6 +26,10 @@ from .numerics import FeasibleBox, as_vector, project_box
 from .optimizers import (RULES, SCALAR_MAX_DIM, check_oracle, fresh_state, resolve_stepper,
                          run_scalar)
 
+# Center rows a quadratic's float oracle converts at a time. It divides
+# keyed.BLOCK, so a chunk never straddles two blocks of the table.
+_CHUNK = 256
+
 
 @dataclass
 class ProblemInstance:
@@ -40,6 +44,14 @@ class ProblemInstance:
     of the first-T sum over the box. ``x1`` overrides the default starting
     iterate (the box center). ``full_objective``, when present, scores a
     point against the whole dataset behind the cost sequence.
+
+    ``grad_floats``, when present, is the gradient oracle on Python
+    floats: it maps (t, xs), the point as a list of d floats, to the
+    step-t gradient as a list of d floats, bit for bit equal to
+    ``np.asarray(grad(t, np.array(xs)), np.float64).tolist()``. A named
+    run on at most SCALAR_MAX_DIM coordinates calls it in place of
+    ``grad`` and so builds no array per step; without it, the run kernel
+    wraps ``grad``.
     """
 
     d: int
@@ -52,6 +64,7 @@ class ProblemInstance:
     x1: Optional[np.ndarray] = None
     name: str = ""
     full_objective: Optional[Callable[[np.ndarray], float]] = None
+    grad_floats: Optional[Callable[[int, list], list]] = None
 
 
 def synthetic_problem():
@@ -73,6 +86,9 @@ def synthetic_problem():
     def grad(t, x):
         return np.array([slope(t)])
 
+    def grad_floats(t, xs):
+        return [slope(t)]
+
     def costs(T, x):
         ts = np.arange(1, T + 1)
         return np.where(ts % 101 == 1, 1010.0, -10.0) * x[..., 0]
@@ -80,7 +96,7 @@ def synthetic_problem():
     return ProblemInstance(
         d=1, cost=cost, grad=grad, box=box, g_inf=1010.0, costs=costs,
         comparator_for=lambda T: np.array([-1.0]),
-        x1=np.array([1.0]), name="synthetic",
+        x1=np.array([1.0]), name="synthetic", grad_floats=grad_floats,
     )
 
 
@@ -89,10 +105,12 @@ def quadratic_problem(seed, d, box=None):
 
     The gradient is x - c_t, so with both points in the box its largest
     coordinate never exceeds the box diameter, which therefore serves as
-    g_inf. The best fixed point for a horizon T is the mean of the first
-    T centers clamped into the box. c_t is lower + r * (upper - lower)
-    with r = default_rng((seed, t)).random(d), filled 4096 t at a time on
-    first demand (see ``keyed``), so it is the same in any access order.
+    g_inf. ``grad_floats`` computes the same x - c_t on lists of floats,
+    against the centers converted ``_CHUNK`` rows at a time. The best fixed
+    point for a horizon T is the mean of the first T centers clamped into
+    the box. c_t is lower + r * (upper - lower) with
+    r = default_rng((seed, t)).random(d), filled 4096 t at a time on first
+    demand (see ``keyed``), so it is the same in any access order.
     """
     if d < 1:
         raise ValueError("dimension must be >= 1")
@@ -111,6 +129,18 @@ def quadratic_problem(seed, d, box=None):
     def grad(t, x):
         return x - center(t)
 
+    # the centers lo_t .. hi_t - 1 as lists of floats: one aligned chunk,
+    # converted with one tolist() and dropped when the run leaves it
+    lo_t, hi_t, chunk = 0, 0, []
+
+    def grad_floats(t, xs):
+        nonlocal lo_t, hi_t, chunk
+        if not lo_t <= t < hi_t:
+            lo_t = t - t % _CHUNK
+            hi_t = lo_t + _CHUNK
+            chunk = centers.rows(lo_t, hi_t).tolist()
+        return [x - c for x, c in zip(xs, chunk[t - lo_t])]
+
     # vecdot reproduces np.dot row by row; (D * D).sum(1) and einsum do not
     def costs(T, x):
         diff = x - centers.rows(1, T + 1)
@@ -124,6 +154,7 @@ def quadratic_problem(seed, d, box=None):
     return ProblemInstance(
         d=d, cost=cost, grad=grad, box=box, g_inf=box.diameter, costs=costs,
         comparator_for=comparator_for, name=f"quadratic(seed={seed},d={d})",
+        grad_floats=grad_floats,
     )
 
 
@@ -244,9 +275,10 @@ def run_oco(problem, stepper, h, T, x1=None, record_full=False, record_iterates=
     1-based step index attached.
 
     A named stepper on at most SCALAR_MAX_DIM coordinates runs the whole
-    run in ``optimizers.run_scalar``; a step function, or more
-    coordinates, runs one ``step`` call per round. Both give the same
-    bytes and the same faults.
+    run in ``optimizers.run_scalar``, which takes its gradients from the
+    problem's ``grad_floats`` when it has one; a step function, or more
+    coordinates, runs one ``grad``, ``cost`` and ``step`` call per round.
+    Both give the same bytes and the same faults.
     """
     step = resolve_stepper(stepper)
     if T < 1:
@@ -269,7 +301,8 @@ def run_oco(problem, stepper, h, T, x1=None, record_full=False, record_iterates=
 
     if isinstance(stepper, str) and d <= SCALAR_MAX_DIM:
         state = run_scalar(RULES[stepper], problem.grad, problem.costs, h, problem.box, x1,
-                           losses, grads, iterates, m_hist, v_hist, vhat_hist)
+                           losses, grads, iterates, m_hist, v_hist, vhat_hist,
+                           problem.grad_floats)
     else:
         state = fresh_state(x1)
         if iterates is not None:

@@ -31,29 +31,33 @@ v, v_hat or iterate raises NumericFault naming the quantity and the step.
 ``run_scalar`` runs a whole run on Python floats: ``harness.run_oco``
 hands it the run when it is given a stepper name and the problem has at
 most ``SCALAR_MAX_DIM`` = 16 coordinates. It carries x, m, v and v_hat as
-lists of floats from step to step and calls ``_coordinates`` once a step,
-so the per-step checks, ``tolist`` calls and ``OptimizerState`` of a step
-function are paid once a run. A step calls the gradient oracle and
-nothing else outside the kernel: history rows collect in Python lists and
-are stored into the caller's arrays 256 rows at a time, and the losses
+lists of floats from step to step and runs the step coordinate by
+coordinate inside its loop, so the per-step checks, ``tolist`` calls and
+``OptimizerState`` of a step function are paid once a run. A step makes
+one call outside the kernel, to a float gradient oracle. That is the
+problem's ``grad_floats`` where it has one (the synthetic and quadratic
+problems do), which takes and returns lists of floats, so the step
+builds no array. Other problems go through an adapter that calls
+``grad`` on the point as an array and checks and converts its result as
+the step functions do. History rows collect in Python lists and are
+stored into the caller's arrays 256 rows at a time, and the losses
 f_t(x_t) are scored after the run by one ``costs(T, X)`` call on the
 iterates. A step function (perfbench's traced passes hand ``run_oco`` a
 wrapped one) or a wider problem runs one ``_array_step`` call, and one
 ``cost`` call, per round. On 2000-step amsgrad quadratic runs with full
-histories (2-vCPU Xeon, Python 3.11, numpy 2.4, medians of 7 runs in two
-sessions) the run kernel took 6.8-7.1 us a step against 20-21.5 for the
-step loop at d = 8, 10.9-11.3 against 20.4-22.3 at d = 16 and 19.5-19.7
-against 20.7-20.8 at d = 32, while the loop won at d = 48 (27.9-33.4
-against 21.5-21.9) and d = 64 (39-40.6 against 22-29.3). The kernel's
-cost grows with d and the loop's barely does, so they cross between
-d = 32 and d = 48; ``SCALAR_MAX_DIM`` stays 16 because no workload runs
-a problem with 16 < d <= 48 that could show the gain of a higher cut.
+histories (2-vCPU Xeon, Python 3.11, numpy 2.4, a busy machine; medians
+of 7 runs, repeated four times) the run kernel took 10-11 us a step
+at d = 8, 17-19 at d = 16, 31-34 at d = 32, 48-49 at d = 48 and 62-68 at
+d = 64, against 33-44 for the step loop at every d. The kernel's cost
+grows with d and the loop's barely does, so they cross between d = 32
+and d = 48; ``SCALAR_MAX_DIM`` stays 16 because no workload runs a
+problem with 16 < d <= 48 that could show the gain of a higher cut.
 
 The two are bitwise equal: Python's float + - * / are IEEE-754 binary64
 operations rounded to nearest, as numpy's ufuncs are, ``math.sqrt`` is
 correctly rounded, as ``np.sqrt`` is, and every expression is evaluated
-in the same order (for instance ((1 - beta2) * g) * g). ``_coordinates``
-keeps numpy's tie rule for the maximum and the clamp, which return their
+in the same order (for instance ((1 - beta2) * g) * g). The kernel keeps
+numpy's tie rule for the maximum and the clamp, which return their
 second argument (deciding the sign of a zero, as for x_1 = -0.0 on a
 lower bound of 0.0), and needs no other of numpy's rules: in a run from a
 fresh start v and v_hat are finite and at least +0.0, and a NaN or
@@ -246,32 +250,6 @@ def _array_step(state, g, h, box, rule):
     return OptimizerState(x=x, m=m, v=v, v_hat=v_hat, t=t, beta1_prev=b1)
 
 
-def _coordinates(xs, ms, vs, vhs, gs, lows, ups, b1, w, beta2, a, eps):
-    """One step of a run coordinate by coordinate on lists of Python floats,
-    bitwise equal to ``_array_step`` on the states a run reaches: the same
-    operations in the same order, and numpy's tie rule for the maximum and
-    the clamp (a tie gives the second argument, which decides the sign of
-    a zero). ``w`` is the rule's weight and ``a`` = alpha_t. Returns the new
-    x, m, v and v_hat lists and the fused finiteness sum of
-    m + v + v_hat + z (z the pre-clamp iterate)."""
-    c1, c2 = 1.0 - b1, 1.0 - beta2
-    nxs, nms, nvs, nvhs = [], [], [], []
-    total = 0.0
-    for xp, mp, vp, vhp, gi, lo, up in zip(xs, ms, vs, vhs, gs, lows, ups):
-        m = b1 * mp + c1 * gi
-        v = beta2 * vp + c2 * gi * gi
-        vh = v if w is None or not w * vhp > v else w * vhp
-        den = math.sqrt(vh) + eps
-        z = xp - a * (m / den if den > 0.0 else 0.0)
-        total += m + v + vh + z
-        y = z if z > lo else lo
-        nxs.append(y if y < up else up)
-        nms.append(m)
-        nvs.append(v)
-        nvhs.append(vh)
-    return nxs, nms, nvs, nvhs, total
-
-
 # Rows a run kernel keeps in Python lists before one store per history.
 # Blocks of 4096 rows raised the corpus benchmark's peak memory from 42.3
 # to 46.8 MB (+11 %); blocks of 256 rows raise it by under 1 %.
@@ -295,28 +273,36 @@ def _scored(costs, X):
 
 
 def run_scalar(rule, grad, costs, h, box, x1, losses, grads,
-               iterates=None, m_hist=None, v_hist=None, vhat_hist=None):
+               iterates=None, m_hist=None, v_hist=None, vhat_hist=None, grad_floats=None):
     """A whole run of ``len(losses)`` steps from a fresh state at ``x1``, on
     at most SCALAR_MAX_DIM coordinates, carried on lists of Python floats.
 
-    Step t evaluates ``grad`` at x_t and runs ``_coordinates``. Its
+    Step t takes the gradient at x_t from ``grad_floats(t, xs)``, the
+    problem's float oracle, which maps the point as a list of floats to the
+    gradient as one. Without one, ``grad`` is called on the point as an
+    array, and its result is checked and coerced as the step functions do.
+    The step then runs coordinate by coordinate, bitwise equal to
+    ``_array_step`` on the states a run reaches: the same operations in the
+    same order, and numpy's tie rule for the maximum and the clamp (a tie
+    gives the second argument, which decides the sign of a zero). Its
     gradient, and its row of each history that is not None, go to flat
     lists that are stored into the preallocated C-contiguous float64
     arrays ``_BLOCK`` rows at a time; ``iterates`` has one more row, x_1,
     and the three moment histories come together or not at all. A step
-    whose fused finiteness sum is not finite is checked as
-    ``check_oracle`` and ``_array_step`` check it, on a rebuilt state, so
-    it raises the same fault as the step functions or, if the sum merely
-    overflowed, goes on with their result, so a run keeps only steps of
-    ``_coordinates`` whose entries are all finite.
+    whose fused finiteness sum of m + v + v_hat + z (z the pre-clamp
+    iterate) is not finite is checked as ``check_oracle`` and
+    ``_array_step`` check it, on a rebuilt state, so it raises the same
+    fault as the step functions or, if the sum merely overflowed, goes on
+    with their result, so a run keeps only coordinate steps whose entries
+    are all finite.
 
     The losses f_t(x_t) are scored after the steps, by one ``costs(T, X)``
     call on the iterate rows (kept in a buffer of the kernel's own when
     ``iterates`` is None). The step loop checks each loss before its
     step, so when a step raises, the losses up to it (up to the step
-    before, if ``grad`` raised) are scored first, and a non-finite one
-    raises the oracle's fault at its own step instead. Returns the final
-    state.
+    before, if the gradient oracle raised) are scored first, and a
+    non-finite one raises the oracle's fault at its own step instead.
+    Returns the final state.
     """
     d, T = x1.shape[0], losses.shape[0]
     if iterates is None:
@@ -325,7 +311,8 @@ def run_scalar(rule, grad, costs, h, box, x1, losses, grads,
     xs, lows, ups = x1.tolist(), box.lower.tolist(), box.upper.tolist()
     ms, vs, vhs = [0.0] * d, [0.0] * d, [0.0] * d
     alpha, beta2, eps = h.alpha, h.beta2, h.epsilon
-    sqrt, isfinite, asarray, f64 = math.sqrt, math.isfinite, np.asarray, np.float64
+    c2 = 1.0 - beta2
+    sqrt, isfinite = math.sqrt, math.isfinite
     # each history's rows of the current block, flat, with the array they
     # go to; the iterate rows are x_2..x_{T+1}
     gbuf, xbuf, mbuf, vbuf, vhbuf = [], [], [], [], []
@@ -340,33 +327,59 @@ def run_scalar(rule, grad, costs, h, box, x1, losses, grads,
             view[start * d:start * d + len(buf)] = array("d", buf)
             buf.clear()
 
-    # oracled: the last step whose grad returned, where the step loop would
-    # have gone on to the loss
+    # oracled: the last step whose gradient oracle returned, where the step
+    # loop would have gone on to the loss
     beta1, b1_prev, oracled = beta1_rule(h), None, 0
+
+    if grad_floats is None:
+        def grad_floats(t, xs):
+            nonlocal oracled
+            x = np.array(xs)
+            g = np.asarray(grad(t, x), np.float64)
+            # marked before the shape is checked: the step loop reads the
+            # loss before it stores or coerces the gradient
+            oracled = t
+            if g.shape != x.shape:
+                # what the step functions make of an off-shape gradient
+                check_oracle(t, 0.0, g)
+                grads[t - 1] = g
+                g = as_vector(g, dim=d)
+            return g.tolist()
+
     try:
         for start in range(0, T, _BLOCK):
             for t in range(start + 1, min(start + _BLOCK, T) + 1):
-                b1 = beta1(t)
-                x = np.array(xs)
-                g = asarray(grad(t, x), f64)
+                gs = grad_floats(t, xs)
                 oracled = t
-                if g.shape != x.shape:
-                    # what the step functions make of an off-shape gradient
-                    check_oracle(t, 0.0, g)
-                    grads[t - 1] = g
-                    g = as_vector(g, dim=d)
-                gs = g.tolist()
-                new = _coordinates(xs, ms, vs, vhs, gs, lows, ups, b1, rule(t, b1, b1_prev),
-                                   beta2, alpha / sqrt(t), eps)
-                if not isfinite(new[4]):
+                b1 = beta1(t)
+                w = rule(t, b1, b1_prev)
+                c1, a = 1.0 - b1, alpha / sqrt(t)
+                # the step coordinate by coordinate, and the fused finiteness
+                # sum of m + v + v_hat + z
+                nxs, nms, nvs, nvhs = [], [], [], []
+                total = 0.0
+                for xp, mp, vp, vhp, gi, lo, up in zip(xs, ms, vs, vhs, gs, lows, ups):
+                    m = b1 * mp + c1 * gi
+                    v = beta2 * vp + c2 * gi * gi
+                    vh = v if w is None or not w * vhp > v else w * vhp
+                    den = sqrt(vh) + eps
+                    z = xp - a * (m / den if den > 0.0 else 0.0)
+                    total += m + v + vh + z
+                    y = z if z > lo else lo
+                    nxs.append(y if y < up else up)
+                    nms.append(m)
+                    nvs.append(v)
+                    nvhs.append(vh)
+                if not isfinite(total):
+                    g = np.array(gs)
                     check_oracle(t, 0.0, g)
                     state = _array_step(
-                        OptimizerState(x=x, m=np.array(ms), v=np.array(vs),
+                        OptimizerState(x=np.array(xs), m=np.array(ms), v=np.array(vs),
                                        v_hat=np.array(vhs), t=t - 1, beta1_prev=b1_prev),
                         g, h, box, rule)
-                    new = (state.x.tolist(), state.m.tolist(), state.v.tolist(),
-                           state.v_hat.tolist())
-                xs, ms, vs, vhs = new[:4]
+                    nxs, nms, nvs, nvhs = (state.x.tolist(), state.m.tolist(),
+                                           state.v.tolist(), state.v_hat.tolist())
+                xs, ms, vs, vhs = nxs, nms, nvs, nvhs
                 b1_prev = b1
                 gbuf += gs
                 xbuf += xs

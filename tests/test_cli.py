@@ -316,6 +316,14 @@ def test_plot_renders_svg(tmp_path, capsys):
     assert "R(t)/t" in svg
 
 
+def test_plot_escapes_legend_names(tmp_path, capsys):
+    a = make_trace(tmp_path, capsys, "a&b<c>.csv")
+    target = tmp_path / "chart.svg"
+    code, _, _ = run_cli(["plot", str(a), "--output", str(target)], capsys)
+    assert code == 0
+    assert ">a&amp;b&lt;c&gt;.csv</text>" in target.read_text()
+
+
 def test_plot_column_selection(tmp_path, capsys):
     a = make_trace(tmp_path, capsys, "run.csv")
     target = tmp_path / "regret.svg"
@@ -707,6 +715,23 @@ before = solvers()
 trace = run_oco(toy, "adamx", h, 20)
 print(json.dumps({"before": before, "after": solvers(), "R": float(trace.cumulative_regret[-1])}))
 """
+
+
+NETWORK_PROBE = """
+import json, sys
+import adamxlab.cli
+print(json.dumps(sorted(m for m in ("urllib.request", "http.client", "email")
+                        if m in sys.modules)))
+"""
+
+
+def test_cli_import_loads_no_network_modules():
+    # the SVG labels are escaped in place, not through xml.sax.saxutils,
+    # whose import pulls in urllib.request, http.client and email
+    proc = subprocess.run([sys.executable, "-c", NETWORK_PROBE],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
 
 
 def test_scipy_loads_only_for_the_logistic_problem(tmp_path):

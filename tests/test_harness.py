@@ -224,6 +224,65 @@ def test_draws_do_not_depend_on_access_order(make):
         assert np.array_equal(p.grad(t, x), expected[t]), t
 
 
+# steps on both sides of the float oracle's 256-row chunk edges and of the
+# keyed table's 4096-row block edges
+CHUNK_EDGES = sorted({t + k for t in (256, 512, keyed.BLOCK, 2 * keyed.BLOCK)
+                      for k in (-1, 0, 1)} | {1, 2})
+
+
+def float_bits(values):
+    """The bits of a list of floats, so that -0.0 and 0.0 differ."""
+    return [float.hex(v) for v in values]
+
+
+def assert_float_oracle_is_the_array_path(p, xs, ts):
+    for t in ts:
+        got = p.grad_floats(t, xs)
+        expected = np.asarray(p.grad(t, np.array(xs)), np.float64).tolist()
+        assert all(type(v) is float for v in got), t
+        assert float_bits(got) == float_bits(expected), t
+
+
+@st.composite
+def float_oracle_cases(draw):
+    """A synthetic or quadratic problem at d = 1 to 16, on a box with signed
+    zero bounds, a point with signed zero coordinates, and the chunk edges
+    visited forwards, backwards or in random order."""
+    d = draw(st.integers(1, SCALAR_MAX_DIM))
+
+    def vector(elements):
+        return draw(st.lists(elements, min_size=d, max_size=d))
+
+    if d == 1 and draw(st.booleans()):
+        problem = synthetic_problem()
+    else:
+        lower = np.array(vector(st.sampled_from([-1.0, -0.5, 0.0, -0.0])))
+        width = np.array(vector(st.sampled_from([0.0, 0.25, 1.0, 2.0])))
+        box = FeasibleBox(lower, np.where(width == 0.0, lower, lower + width))
+        problem = quadratic_problem(draw(st.integers(0, 50)), d, box=box)
+    xs = vector(st.one_of(st.sampled_from([0.0, -0.0, 0.3, -0.7, 1.0]),
+                          st.floats(-2.0, 2.0)))
+    ts = draw(st.one_of(st.just(CHUNK_EDGES), st.just(CHUNK_EDGES[::-1]),
+                        st.permutations(CHUNK_EDGES)))
+    return problem, xs, ts
+
+
+@settings(max_examples=60, deadline=None)
+@given(float_oracle_cases())
+@example((synthetic_problem(), [-0.0], [*CHUNK_EDGES[::-1], 102, 101]))
+def test_float_oracle_is_bitwise_the_array_path(case):
+    assert_float_oracle_is_the_array_path(*case)
+
+
+@pytest.mark.parametrize("d", range(1, SCALAR_MAX_DIM + 1))
+def test_quadratic_float_oracle_in_any_order(d):
+    # a fresh problem per order, so its chunk is first filled at either end
+    xs = [(-0.0, 0.0, 0.3, -0.7)[i % 4] for i in range(d)]
+    order = np.random.default_rng(d).permutation(CHUNK_EDGES).tolist()
+    for ts in (CHUNK_EDGES, CHUNK_EDGES[::-1], order):
+        assert_float_oracle_is_the_array_path(quadratic_problem(d, d), xs, ts)
+
+
 def test_failed_self_check_keeps_every_value(monkeypatch):
     # a numpy whose stream the array path does not reproduce: every draw
     # comes from the scalar generator and every value stays the same
@@ -670,6 +729,17 @@ def test_named_run_takes_odd_gradients_like_the_step_loop(g):
         assert isinstance(got, list) or got[0] in (ValueError, NumericFault)
 
 
+@pytest.mark.parametrize("k", [3, LATE])
+@pytest.mark.parametrize("odd", ["python-float", "too-long", "row-matrix"])
+def test_named_run_checks_the_loss_before_an_odd_gradient(odd, k):
+    # the step loop checks the loss of step k before it stores or coerces the
+    # gradient of step k, so an off-shape gradient there hides behind the fault
+    for d in (1, 5):
+        problem = oracle_problem(d, at_step(k, ODD_GRADIENTS[odd])(d), cost_inf_at(k))
+        got = run_both(problem, "adamx", H_REF, _BLOCK + 10)
+        assert got == (NumericFault, f"non-finite cost or gradient at step {k}", k)
+
+
 # Gradient entries at the edges of float arithmetic: signed zeros, the
 # smallest subnormals, squares that underflow (1e-170) or overflow (1e200), a
 # finite v whose fused finiteness sum overflows (3e155), and non-finite ones.
@@ -803,9 +873,11 @@ def test_named_runs_take_the_run_kernel_up_to_scalar_max_dim(monkeypatch):
 
 
 def test_named_run_scores_its_losses_in_one_costs_call():
+    # a named run calls the float oracle alone once a step; the step loop
+    # calls grad and cost once a step and never the float oracle
     T = 50
-    kernel = {"cost": 0, "grad": T, "costs": 2}  # the losses and the comparator's
-    loop = {"cost": T, "grad": T, "costs": 1}
+    kernel = {"cost": 0, "grad": 0, "grad_floats": T, "costs": 2}  # the losses and the comparator's
+    loop = {"cost": T, "grad": T, "grad_floats": 0, "costs": 1}
     for stepper, d, expected in (("adamx", 1, kernel), ("adamx", SCALAR_MAX_DIM, kernel),
                                  ("adamx", SCALAR_MAX_DIM + 1, loop),
                                  (STEPPERS["adamx"], 1, loop)):
