@@ -23,8 +23,8 @@ import numpy as np
 
 from . import keyed
 from .numerics import FeasibleBox, as_vector, project_box
-from .optimizers import (RULES, SCALAR_MAX_DIM, check_oracle, fresh_state, resolve_stepper,
-                         run_scalar)
+from .optimizers import (RULES, SCALAR_MAX_DIM, History, check_oracle, fresh_state,
+                         resolve_stepper, run_scalar)
 
 # Center rows a quadratic's float oracle converts at a time. It divides
 # keyed.BLOCK, so a chunk never straddles two blocks of the table.
@@ -269,10 +269,11 @@ def run_oco(problem, stepper, h, T, x1=None, record_full=False, record_iterates=
     """Play T rounds and account regret against the horizon-T comparator.
 
     ``stepper`` is a step function or one of the names "adam",
-    "amsgrad", "adamx". ``record_full`` keeps iterate and moment
-    histories (memory grows with T*d); ``record_iterates`` can request
-    just the iterates. A numeric fault inside a step propagates with the
-    1-based step index attached.
+    "amsgrad", "adamx". Its rows are kept in an ``optimizers.History``; the
+    trace shows the iterates when ``record_iterates`` (by default
+    ``record_full``) asks, and the moment histories when ``record_full``
+    does (memory grows with T*d). A numeric fault inside a step propagates
+    with the 1-based step index attached.
 
     A named stepper on at most SCALAR_MAX_DIM coordinates runs the whole
     run in ``optimizers.run_scalar``, which takes its gradients from the
@@ -291,51 +292,33 @@ def run_oco(problem, stepper, h, T, x1=None, record_full=False, record_iterates=
     if record_iterates is None:
         record_iterates = record_full
 
-    d = problem.d
-    losses = np.empty(T)
-    grads = np.empty((T, d))
-    iterates = np.empty((T + 1, d)) if record_iterates else None
-    m_hist = np.empty((T, d)) if record_full else None
-    v_hist = np.empty((T, d)) if record_full else None
-    vhat_hist = np.empty((T, d)) if record_full else None
-
-    if isinstance(stepper, str) and d <= SCALAR_MAX_DIM:
-        state = run_scalar(RULES[stepper], problem.grad, problem.costs, h, problem.box, x1,
-                           losses, grads, iterates, m_hist, v_hist, vhat_hist,
-                           problem.grad_floats)
+    hist = History(T, x1, record_full)
+    if isinstance(stepper, str) and problem.d <= SCALAR_MAX_DIM:
+        state = run_scalar(RULES[stepper], problem, h, hist)
     else:
         state = fresh_state(x1)
-        if iterates is not None:
-            iterates[0] = state.x
         for t in range(1, T + 1):
-            x = state.x
-            g = np.asarray(problem.grad(t, x), dtype=np.float64)
-            loss = problem.cost(t, x)
+            g = np.asarray(problem.grad(t, state.x), dtype=np.float64)
+            loss = problem.cost(t, state.x)
             check_oracle(t, loss, g)
-            losses[t - 1] = loss
-            grads[t - 1] = g
+            hist.row(t, loss, g)
             state = step(state, g, h, problem.box)
-            if iterates is not None:
-                iterates[t] = state.x
-            if record_full:
-                m_hist[t - 1] = state.m
-                v_hist[t - 1] = state.v
-                vhat_hist[t - 1] = state.v_hat
+            hist.stepped(t, state)
 
     comparator = comparator_oracle(problem, T)
     comp_losses = problem.costs(T, comparator)
     return RegretTrace(
-        losses=losses,
+        losses=hist.losses,
         comparator_losses=comp_losses,
-        cumulative_regret=np.cumsum(losses - comp_losses),
-        gradient_history=grads,
+        cumulative_regret=np.cumsum(hist.losses - comp_losses),
+        gradient_history=hist.grads,
         comparator=comparator,
         final_x=state.x.copy(),
         T=T,
-        iterates=iterates,
-        m_history=m_hist,
-        v_history=v_hist,
-        vhat_history=vhat_hist,
+        iterates=hist.iterates if record_iterates else None,
+        m_history=hist.m,
+        v_history=hist.v,
+        vhat_history=hist.v_hat,
     )
 
 

@@ -39,19 +39,12 @@ problem's ``grad_floats`` where it has one (the synthetic and quadratic
 problems do), which takes and returns lists of floats, so the step
 builds no array. Other problems go through an adapter that calls
 ``grad`` on the point as an array and checks and converts its result as
-the step functions do. History rows collect in Python lists and are
-stored into the caller's arrays 256 rows at a time, and the losses
-f_t(x_t) are scored after the run by one ``costs(T, X)`` call on the
-iterates. A step function (perfbench's traced passes hand ``run_oco`` a
-wrapped one) or a wider problem runs one ``_array_step`` call, and one
-``cost`` call, per round. On 2000-step amsgrad quadratic runs with full
-histories (2-vCPU Xeon, Python 3.11, numpy 2.4, a busy machine; medians
-of 7 runs, repeated four times) the run kernel took 10-11 us a step
-at d = 8, 17-19 at d = 16, 31-34 at d = 32, 48-49 at d = 48 and 62-68 at
-d = 64, against 33-44 for the step loop at every d. The kernel's cost
-grows with d and the loop's barely does, so they cross between d = 32
-and d = 48; ``SCALAR_MAX_DIM`` stays 16 because no workload runs a
-problem with 16 < d <= 48 that could show the gain of a higher cut.
+the step functions do. The rows a run keeps are stored by ``History``,
+the kernel's a block at a time, and the losses f_t(x_t) are scored after
+the run by one ``costs(T, X)`` call on the iterates. A step function
+(perfbench's traced passes hand ``run_oco`` a wrapped one) or a wider
+problem runs one ``_array_step`` call, and one ``cost`` call, per round;
+``SCALAR_MAX_DIM`` says why the cut sits where it does.
 
 The two are bitwise equal: Python's float + - * / are IEEE-754 binary64
 operations rounded to nearest, as numpy's ufuncs are, ``math.sqrt`` is
@@ -85,6 +78,12 @@ from .numerics import as_vector
 
 # Up to this many coordinates a named run runs on Python floats: there a
 # dozen numpy calls a step on tiny arrays cost more than the arithmetic.
+# The kernel's cost grows with d and the step loop's barely does. On
+# 2000-step amsgrad quadratic runs with full histories (medians of 7, four
+# rounds on a busy 2-vCPU Xeon, Python 3.11, numpy 2.4) the kernel took
+# 9-11 us a step at d = 8 and 12-19 at d = 16, against 28-41 and 26-41 for
+# the loop; at d = 32 (26-42 against 26-35) and d = 48 (29-41 against
+# 29-41) the two overlap. The cut stays at 16: no workload runs d > 5.
 SCALAR_MAX_DIM = 16
 
 
@@ -256,9 +255,49 @@ def _array_step(state, g, h, box, rule):
 _BLOCK = 256
 
 
-def _rows(hist):
-    """A flat float64 view of a C-contiguous history array."""
-    return memoryview(hist).cast("B").cast("d")
+class History:
+    """Every row a run keeps. Row t-1 of ``losses``, ``grads``, ``m``, ``v``
+    and ``v_hat`` holds step t; the moments are kept only when ``full`` is
+    set (None otherwise), while ``iterates`` always holds x_1..x_{T+1}: the
+    run kernel scores the losses from them. The kernel hands over a block's
+    rows through ``store``, the step loop one step's through ``row`` and
+    ``stepped``."""
+
+    def __init__(self, T, x1, full):
+        d = x1.shape[0]
+        self.full = full
+        self.losses = np.empty(T)
+        self.grads = np.empty((T, d))
+        self.iterates = np.empty((T + 1, d))
+        self.iterates[0] = x1
+        self.m, self.v, self.v_hat = (np.empty((T, d)) if full else None for _ in range(3))
+        # flat float64 views, in the order of ``store``'s lists; the iterate
+        # rows a step adds are x_2..x_{T+1}
+        arrays = (self.grads, self.iterates[1:], self.m, self.v, self.v_hat)
+        self._views = [memoryview(a).cast("B").cast("d") for a in arrays if a is not None]
+
+    def store(self, start, bufs):
+        """Store steps start + 1, ... from flat lists of floats, in the order
+        gradients, iterates, m, v, v_hat (as kept), and empty the lists."""
+        at = start * self.grads.shape[1]
+        for view, buf in zip(self._views, bufs):
+            view[at:at + len(buf)] = array("d", buf)
+            buf.clear()
+
+    def row(self, t, loss, g):
+        """The step loop's step-t loss and gradient, stored before the step
+        runs so that an off-shape gradient fails as in the run kernel."""
+        self.losses[t - 1] = loss
+        self.grads[t - 1] = g
+
+    def stepped(self, t, state):
+        """The iterate x_{t+1} and, when ``full``, the moments of the
+        state step t returned."""
+        self.iterates[t] = state.x
+        if self.full:
+            self.m[t - 1] = state.m
+            self.v[t - 1] = state.v
+            self.v_hat[t - 1] = state.v_hat
 
 
 def _scored(costs, X):
@@ -272,60 +311,37 @@ def _scored(costs, X):
     return ls
 
 
-def run_scalar(rule, grad, costs, h, box, x1, losses, grads,
-               iterates=None, m_hist=None, v_hist=None, vhat_hist=None, grad_floats=None):
-    """A whole run of ``len(losses)`` steps from a fresh state at ``x1``, on
-    at most SCALAR_MAX_DIM coordinates, carried on lists of Python floats.
+def run_scalar(rule, problem, h, hist):
+    """A whole run of ``len(hist.losses)`` steps on ``problem``, on at most
+    SCALAR_MAX_DIM coordinates, from a fresh state at ``hist.iterates[0]``,
+    carried on lists of Python floats.
 
-    Step t takes the gradient at x_t from ``grad_floats(t, xs)``, the
-    problem's float oracle, which maps the point as a list of floats to the
-    gradient as one. Without one, ``grad`` is called on the point as an
-    array, and its result is checked and coerced as the step functions do.
-    The step then runs coordinate by coordinate, bitwise equal to
-    ``_array_step`` on the states a run reaches: the same operations in the
-    same order, and numpy's tie rule for the maximum and the clamp (a tie
-    gives the second argument, which decides the sign of a zero). Its
-    gradient, and its row of each history that is not None, go to flat
-    lists that are stored into the preallocated C-contiguous float64
-    arrays ``_BLOCK`` rows at a time; ``iterates`` has one more row, x_1,
-    and the three moment histories come together or not at all. A step
-    whose fused finiteness sum of m + v + v_hat + z (z the pre-clamp
-    iterate) is not finite is checked as ``check_oracle`` and
-    ``_array_step`` check it, on a rebuilt state, so it raises the same
-    fault as the step functions or, if the sum merely overflowed, goes on
-    with their result, so a run keeps only coordinate steps whose entries
-    are all finite.
+    Step t takes the gradient at x_t from the problem's float oracle, or
+    from ``problem.grad`` through the adapter the module docstring
+    describes, and runs coordinate by coordinate, bitwise equal to
+    ``_array_step`` on the states a run reaches; a step whose fused
+    finiteness sum is not finite is re-run on a rebuilt state as the module
+    docstring says, so a run keeps only coordinate steps whose entries are
+    all finite. Its rows go to flat lists that ``hist.store`` takes
+    ``_BLOCK`` rows at a time.
 
-    The losses f_t(x_t) are scored after the steps, by one ``costs(T, X)``
-    call on the iterate rows (kept in a buffer of the kernel's own when
-    ``iterates`` is None). The step loop checks each loss before its
-    step, so when a step raises, the losses up to it (up to the step
-    before, if the gradient oracle raised) are scored first, and a
-    non-finite one raises the oracle's fault at its own step instead.
-    Returns the final state.
+    The losses f_t(x_t) are scored after the steps, by one
+    ``problem.costs(T, X)`` call on the iterate rows. The step loop checks
+    each loss before its step, so when a step raises, the losses up to it
+    (up to the step before, if the gradient oracle raised) are scored
+    first, and a non-finite one raises the oracle's fault at its own step
+    instead. Returns the final state.
     """
-    d, T = x1.shape[0], losses.shape[0]
-    if iterates is None:
-        iterates = np.empty((T + 1, d))
-    iterates[0] = x1
-    xs, lows, ups = x1.tolist(), box.lower.tolist(), box.upper.tolist()
+    grad, costs, box, grad_floats = problem.grad, problem.costs, problem.box, problem.grad_floats
+    T, d = hist.grads.shape
+    xs, lows, ups = hist.iterates[0].tolist(), box.lower.tolist(), box.upper.tolist()
     ms, vs, vhs = [0.0] * d, [0.0] * d, [0.0] * d
     alpha, beta2, eps = h.alpha, h.beta2, h.epsilon
     c2 = 1.0 - beta2
     sqrt, isfinite = math.sqrt, math.isfinite
-    # each history's rows of the current block, flat, with the array they
-    # go to; the iterate rows are x_2..x_{T+1}
-    gbuf, xbuf, mbuf, vbuf, vhbuf = [], [], [], [], []
-    full = m_hist is not None
-    out = [(grads, gbuf), (iterates[1:], xbuf)]
-    if full:
-        out += [(m_hist, mbuf), (v_hist, vbuf), (vhat_hist, vhbuf)]
-    out = [(_rows(hist), buf) for hist, buf in out]
-
-    def flush(start):
-        for view, buf in out:
-            view[start * d:start * d + len(buf)] = array("d", buf)
-            buf.clear()
+    # the current block's rows, flat, in the order ``hist.store`` takes them
+    bufs = gbuf, xbuf, mbuf, vbuf, vhbuf = [], [], [], [], []
+    full = hist.full
 
     # oracled: the last step whose gradient oracle returned, where the step
     # loop would have gone on to the loss
@@ -342,7 +358,7 @@ def run_scalar(rule, grad, costs, h, box, x1, losses, grads,
             if g.shape != x.shape:
                 # what the step functions make of an off-shape gradient
                 check_oracle(t, 0.0, g)
-                grads[t - 1] = g
+                hist.grads[t - 1] = g
                 g = as_vector(g, dim=d)
             return g.tolist()
 
@@ -387,15 +403,15 @@ def run_scalar(rule, grad, costs, h, box, x1, losses, grads,
                     mbuf += ms
                     vbuf += vs
                     vhbuf += vhs
-            flush(start)
+            hist.store(start, bufs)
     except Exception:
         # the step loop meets a non-finite loss at step s before anything a
         # later step raises, whatever its type
-        flush(start)
+        hist.store(start, bufs)
         if oracled:
-            _scored(costs, iterates[:oracled])
+            _scored(costs, hist.iterates[:oracled])
         raise
-    losses[:] = _scored(costs, iterates[:T])
+    hist.losses[:] = _scored(costs, hist.iterates[:T])
     return OptimizerState(x=np.array(xs), m=np.array(ms), v=np.array(vs),
                           v_hat=np.array(vhs), t=T, beta1_prev=b1_prev)
 

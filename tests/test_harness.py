@@ -18,7 +18,7 @@ from adamxlab import (FeasibleBox, HyperParams, NumericFault, ProblemInstance,
                       synthetic_problem, keyed, toy_training_problem)
 from adamxlab import cli, harness
 from adamxlab.harness import RegretTrace, comparator_oracle
-from adamxlab.optimizers import _BLOCK, RULES, SCALAR_MAX_DIM, STEPPERS, run_scalar
+from adamxlab.optimizers import _BLOCK, RULES, SCALAR_MAX_DIM, STEPPERS, History, run_scalar
 from adamxlab.numerics import project_box
 
 H_REF = HyperParams(alpha=0.001, beta1=0.9, beta2=0.999, lam=0.001,
@@ -476,18 +476,26 @@ def test_problem_requires_costs_and_comparator():
 
 
 def test_histories_gated_by_flags():
-    p = synthetic_problem()
-    lean = run_oco(p, "amsgrad", H_REF, 5)
-    assert lean.iterates is None and lean.m_history is None
-    only_x = run_oco(p, "amsgrad", H_REF, 5, record_iterates=True)
-    assert only_x.iterates is not None and only_x.m_history is None
-    assert only_x.iterates.shape == (6, 1)
-    full = run_oco(p, "amsgrad", H_REF, 5, record_full=True)
-    assert full.iterates.shape == (6, 1)
-    assert full.m_history.shape == (5, 1)
-    assert full.v_history.shape == (5, 1)
-    assert full.vhat_history.shape == (5, 1)
-    assert full.gradient_history.shape == (5, 1)
+    # a run always keeps its iterates, but its trace shows them only on
+    # request: the kernel, the step loop, and a named run too wide for the
+    # kernel
+    def moments(trace):
+        return [trace.m_history, trace.v_history, trace.vhat_history]
+
+    for p, stepper in ((synthetic_problem(), "amsgrad"),
+                       (synthetic_problem(), STEPPERS["amsgrad"]),
+                       (quadratic_problem(3, SCALAR_MAX_DIM + 1), "amsgrad")):
+        d = p.d
+        lean = run_oco(p, stepper, H_REF, 5)
+        assert lean.iterates is None and moments(lean) == [None] * 3
+        only_x = run_oco(p, stepper, H_REF, 5, record_iterates=True)
+        assert only_x.iterates.shape == (6, d) and moments(only_x) == [None] * 3
+        no_x = run_oco(p, stepper, H_REF, 5, record_full=True, record_iterates=False)
+        assert no_x.iterates is None and [m.shape for m in moments(no_x)] == [(5, d)] * 3
+        full = run_oco(p, stepper, H_REF, 5, record_full=True)
+        assert full.iterates.shape == (6, d)
+        assert [m.shape for m in moments(full)] == [(5, d)] * 3
+        assert full.gradient_history.shape == (5, d) and full.losses.shape == (5,)
 
 
 def test_run_rejects_bad_horizon_and_start():
@@ -703,11 +711,11 @@ def test_run_kernel_scores_the_rows_of_the_block_a_fault_cuts_short(k):
     d, T = 2, _BLOCK + 10
     p = oracle_problem(d, at_step(k, lambda d: np.r_[np.zeros(d - 1), np.inf])(d),
                        lambda t, x: 0.0 * x[0])
-    iterates = np.full((T + 1, d), np.nan)
+    hist = History(T, np.zeros(d), False)
+    hist.iterates[1:] = np.nan
     with pytest.raises(NumericFault, match=f"non-finite cost or gradient at step {k}$"):
-        run_scalar(RULES["adamx"], p.grad, p.costs, H_REF, p.box, np.zeros(d), np.empty(T),
-                   np.empty((T, d)), iterates)
-    assert np.isfinite(iterates[:k]).all() and np.isnan(iterates[k:]).all()
+        run_scalar(RULES["adamx"], p, H_REF, hist)
+    assert np.isfinite(hist.iterates[:k]).all() and np.isnan(hist.iterates[k:]).all()
 
 
 # each entry maps d to what a gradient oracle returns: off-shape, or not float64
@@ -862,9 +870,9 @@ def test_cli_decay_trace_matches_benchmark_digest(tmp_path):
 def test_named_runs_take_the_run_kernel_up_to_scalar_max_dim(monkeypatch):
     calls = []
 
-    def counting(rule, grad, costs, h, box, x1, *rest):
-        calls.append(x1.shape[0])
-        return run_scalar(rule, grad, costs, h, box, x1, *rest)
+    def counting(rule, problem, *rest):
+        calls.append(problem.d)
+        return run_scalar(rule, problem, *rest)
 
     monkeypatch.setattr(harness, "run_scalar", counting)
     for d in (SCALAR_MAX_DIM, SCALAR_MAX_DIM + 1):

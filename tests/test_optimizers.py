@@ -17,8 +17,8 @@ from adamxlab import (FeasibleBox, HyperParams, NumericFault, Schedule,
                       resolve_stepper, run_oco, step_adam, step_adamx, step_amsgrad,
                       synthetic_problem)
 from adamxlab import optimizers
-from adamxlab.optimizers import (SCALAR_MAX_DIM, STEPPERS, OptimizerState, _raw, alpha_at,
-                                 run_scalar)
+from adamxlab.optimizers import (SCALAR_MAX_DIM, STEPPERS, History, OptimizerState, _raw,
+                                 alpha_at, run_scalar)
 
 H_REF = HyperParams(alpha=0.001, beta1=0.9, beta2=0.999, lam=0.001,
                     schedule=Schedule.EXP_DECAY)
@@ -365,9 +365,9 @@ def test_run_kernel_beta1_is_beta1_sequence(schedule):
     # numpy's power would differ from Python's ** in the last bit
     h = HyperParams(alpha=0.001, beta1=0.9, beta2=0.999, lam=0.999, schedule=schedule)
     p, T = synthetic_problem(), 50500
-    losses, grads, m_hist = np.empty(T), np.empty((T, 1)), np.empty((T, 1))
-    state = run_scalar(_raw, p.grad, p.costs, h, p.box, p.x1, losses, grads,
-                       m_hist=m_hist, v_hist=np.empty((T, 1)), vhat_hist=np.empty((T, 1)))
+    hist = History(T, p.x1, True)
+    state = run_scalar(_raw, p, h, hist)
+    grads, m_hist = hist.grads, hist.m
     seq = beta1_sequence(h, T)
     # the schedules written out once more, as the reference
     written = {Schedule.CONSTANT: lambda t: 0.9,

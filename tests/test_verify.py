@@ -78,9 +78,9 @@ def test_counterexample_replays_through_the_run_kernel(monkeypatch):
     # the golden constants pin the kernel that every named run takes
     calls = []
 
-    def counting(rule, grad, costs, h, box, x1, *rest):
-        calls.append(x1.shape[0])
-        return run_scalar(rule, grad, costs, h, box, x1, *rest)
+    def counting(rule, problem, *rest):
+        calls.append(problem.d)
+        return run_scalar(rule, problem, *rest)
 
     monkeypatch.setattr(harness, "run_scalar", counting)
     reproduce_counterexample()
