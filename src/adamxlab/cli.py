@@ -234,6 +234,9 @@ def cmd_run(args):
             print(f"cannot read config {args.config}: {err}", file=sys.stderr)
             return EXIT_USAGE
         if isinstance(loaded, list):
+            if not loaded:
+                print("config file holds an empty list: no run to make", file=sys.stderr)
+                return EXIT_USAGE
             entries, batch = loaded, True
         elif isinstance(loaded, dict):
             entries = [loaded]

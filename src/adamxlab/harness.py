@@ -41,17 +41,17 @@ class ProblemInstance:
     one vectorized pass, bitwise equal to calling ``cost`` once per t;
     ``run_oco`` scores the comparator with it, and the run kernel the
     iterates of a whole run. ``comparator_for`` maps a horizon T to the argmin
-    of the first-T sum over the box. ``x1`` overrides the default starting
-    iterate (the box center). ``full_objective``, when present, scores a
-    point against the whole dataset behind the cost sequence.
+    of the first-T sum over the box. ``x1`` is the starting iterate, the box
+    center when None. ``full_objective``, when present, scores a point
+    against the whole dataset behind the cost sequence.
 
     ``grad_floats``, when present, is the gradient oracle on Python
     floats: it maps (t, xs), the point as a list of d floats, to the
     step-t gradient as a list of d floats, bit for bit equal to
-    ``np.asarray(grad(t, np.array(xs)), np.float64).tolist()``. A named
-    run on at most SCALAR_MAX_DIM coordinates calls it in place of
-    ``grad`` and so builds no array per step; without it, the run kernel
-    wraps ``grad``.
+    ``np.asarray(grad(t, np.array(xs)), np.float64).tolist()``. Every
+    built-in problem has one. A named run on at most SCALAR_MAX_DIM
+    coordinates goes to the run kernel only when it is set, and calls it
+    in place of ``grad``; without it the run takes the step loop.
     """
 
     d: int
@@ -167,7 +167,8 @@ def toy_training_problem(seed=0):
     sequence. The minibatch indices are filled 4096 t at a time on first
     demand (see ``keyed``) and kept per problem, so cost, grad and the
     comparator share each draw and see the same rows in any access order.
-    Gradients are analytic. The per-sample gradient magnitude never
+    Gradients are analytic; ``grad_floats`` is ``grad`` on the point as an
+    array, converted with ``tolist``. The per-sample gradient magnitude never
     exceeds the largest feature magnitude (the sigmoid factor is below
     1), which gives g_inf from the data alone. scipy is imported
     only when a gradient or a comparator is first computed, so building
@@ -204,6 +205,9 @@ def toy_training_problem(seed=0):
         xb, yb = xs[idx], ys[idx]
         return gradient(margins(x, xb, yb), xb, yb)
 
+    def grad_floats(t, xs):
+        return grad(t, np.array(xs)).tolist()
+
     # one point or a stack of T: the stacked (batch, 2) @ (2, 1) products
     # round as cost's (batch, 2) @ (2,) does, where np.vecdot does not
     def costs(T, x):
@@ -231,7 +235,7 @@ def toy_training_problem(seed=0):
     return ProblemInstance(
         d=3, cost=cost, grad=grad, box=box, g_inf=g_inf, costs=costs,
         comparator_for=comparator_for, name=f"logistic(seed={seed})",
-        full_objective=full_objective,
+        full_objective=full_objective, grad_floats=grad_floats,
     )
 
 
@@ -265,8 +269,9 @@ class RegretTrace:
     vhat_history: Optional[np.ndarray] = None
 
 
-def run_oco(problem, stepper, h, T, x1=None, record_full=False, record_iterates=None):
-    """Play T rounds and account regret against the horizon-T comparator.
+def run_oco(problem, stepper, h, T, record_full=False, record_iterates=None):
+    """Play T rounds from ``problem.x1`` (the box center when None) and
+    account regret against the horizon-T comparator.
 
     ``stepper`` is a step function or one of the names "adam",
     "amsgrad", "adamx". Its rows are kept in an ``optimizers.History``; the
@@ -275,17 +280,17 @@ def run_oco(problem, stepper, h, T, x1=None, record_full=False, record_iterates=
     does (memory grows with T*d). A numeric fault inside a step propagates
     with the 1-based step index attached.
 
-    A named stepper on at most SCALAR_MAX_DIM coordinates runs the whole
-    run in ``optimizers.run_scalar``, which takes its gradients from the
-    problem's ``grad_floats`` when it has one; a step function, or more
-    coordinates, runs one ``grad``, ``cost`` and ``step`` call per round.
-    Both give the same bytes and the same faults.
+    A named stepper on a problem with a float oracle ``grad_floats`` and at
+    most SCALAR_MAX_DIM coordinates runs the whole run in
+    ``optimizers.run_scalar``, which takes its gradients from that oracle
+    alone; any other run (a step function, a problem without a float
+    oracle, more coordinates) runs one ``grad``, ``cost`` and ``step`` call
+    per round. Both give the same bytes and the same faults.
     """
     step = resolve_stepper(stepper)
     if T < 1:
         raise ValueError("horizon must be >= 1")
-    if x1 is None:
-        x1 = problem.x1 if problem.x1 is not None else problem.box.center()
+    x1 = problem.x1 if problem.x1 is not None else problem.box.center()
     x1 = as_vector(x1, dim=problem.d)
     if not problem.box.contains(x1):
         raise ValueError("starting iterate must lie in the box")
@@ -293,7 +298,8 @@ def run_oco(problem, stepper, h, T, x1=None, record_full=False, record_iterates=
         record_iterates = record_full
 
     hist = History(T, x1, record_full)
-    if isinstance(stepper, str) and problem.d <= SCALAR_MAX_DIM:
+    if (isinstance(stepper, str) and problem.d <= SCALAR_MAX_DIM
+            and problem.grad_floats is not None):
         state = run_scalar(RULES[stepper], problem, h, hist)
     else:
         state = fresh_state(x1)

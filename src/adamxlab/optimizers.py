@@ -34,17 +34,16 @@ most ``SCALAR_MAX_DIM`` = 16 coordinates. It carries x, m, v and v_hat as
 lists of floats from step to step and runs the step coordinate by
 coordinate inside its loop, so the per-step checks, ``tolist`` calls and
 ``OptimizerState`` of a step function are paid once a run. A step makes
-one call outside the kernel, to a float gradient oracle. That is the
-problem's ``grad_floats`` where it has one (the synthetic and quadratic
-problems do), which takes and returns lists of floats, so the step
-builds no array. Other problems go through an adapter that calls
-``grad`` on the point as an array and checks and converts its result as
-the step functions do. The rows a run keeps are stored by ``History``,
-the kernel's a block at a time, and the losses f_t(x_t) are scored after
-the run by one ``costs(T, X)`` call on the iterates. A step function
-(perfbench's traced passes hand ``run_oco`` a wrapped one) or a wider
-problem runs one ``_array_step`` call, and one ``cost`` call, per round;
-``SCALAR_MAX_DIM`` says why the cut sits where it does.
+one call outside the kernel, to the problem's float gradient oracle
+``grad_floats``, which takes and returns lists of floats, so the kernel
+builds no array. The rows a run keeps are stored by ``History``, the
+kernel's a block at a time, and the losses f_t(x_t) are scored after the
+run by one ``costs(T, X)`` call on the iterates. A step function
+(perfbench's traced passes hand ``run_oco`` a wrapped one), a problem
+without a float oracle (a custom one) or a wider problem runs the step
+loop: one ``grad``, ``cost`` and ``_array_step`` call per round. It is
+the one place that checks and coerces gradients that are off-shape or
+not float64; ``SCALAR_MAX_DIM`` says why the cut sits where it does.
 
 The two are bitwise equal: Python's float + - * / are IEEE-754 binary64
 operations rounded to nearest, as numpy's ufuncs are, ``math.sqrt`` is
@@ -316,9 +315,8 @@ def run_scalar(rule, problem, h, hist):
     SCALAR_MAX_DIM coordinates, from a fresh state at ``hist.iterates[0]``,
     carried on lists of Python floats.
 
-    Step t takes the gradient at x_t from the problem's float oracle, or
-    from ``problem.grad`` through the adapter the module docstring
-    describes, and runs coordinate by coordinate, bitwise equal to
+    Step t takes the gradient at x_t from ``problem.grad_floats``, which
+    must be set, and runs coordinate by coordinate, bitwise equal to
     ``_array_step`` on the states a run reaches; a step whose fused
     finiteness sum is not finite is re-run on a rebuilt state as the module
     docstring says, so a run keeps only coordinate steps whose entries are
@@ -332,7 +330,7 @@ def run_scalar(rule, problem, h, hist):
     first, and a non-finite one raises the oracle's fault at its own step
     instead. Returns the final state.
     """
-    grad, costs, box, grad_floats = problem.grad, problem.costs, problem.box, problem.grad_floats
+    grad_floats, costs, box = problem.grad_floats, problem.costs, problem.box
     T, d = hist.grads.shape
     xs, lows, ups = hist.iterates[0].tolist(), box.lower.tolist(), box.upper.tolist()
     ms, vs, vhs = [0.0] * d, [0.0] * d, [0.0] * d
@@ -346,22 +344,6 @@ def run_scalar(rule, problem, h, hist):
     # oracled: the last step whose gradient oracle returned, where the step
     # loop would have gone on to the loss
     beta1, b1_prev, oracled = beta1_rule(h), None, 0
-
-    if grad_floats is None:
-        def grad_floats(t, xs):
-            nonlocal oracled
-            x = np.array(xs)
-            g = np.asarray(grad(t, x), np.float64)
-            # marked before the shape is checked: the step loop reads the
-            # loss before it stores or coerces the gradient
-            oracled = t
-            if g.shape != x.shape:
-                # what the step functions make of an off-shape gradient
-                check_oracle(t, 0.0, g)
-                hist.grads[t - 1] = g
-                g = as_vector(g, dim=d)
-            return g.tolist()
-
     try:
         for start in range(0, T, _BLOCK):
             for t in range(start + 1, min(start + _BLOCK, T) + 1):

@@ -221,6 +221,14 @@ def test_batch_requires_output_paths(tmp_path, capsys):
     assert "output_path" in err
 
 
+def test_batch_rejects_empty_list(tmp_path, capsys):
+    cfg = tmp_path / "batch.json"
+    cfg.write_text("[]")
+    code, out, err = run_cli(["run", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert out == "" and err == "config file holds an empty list: no run to make\n"
+
+
 def test_batch_rejects_shared_output_path(tmp_path, capsys):
     target = tmp_path / "same.csv"
     cfg = tmp_path / "batch.json"

@@ -1,10 +1,12 @@
 """Problem construction, comparator oracles, and the regret loop."""
 
+import contextlib
 import dataclasses
 import hashlib
 import json
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -140,8 +142,8 @@ def test_comparator_perturbation_optimality():
 def test_quadratic_zero_gradient_run():
     # a run whose every gradient is zero never leaves its starting point
     center = np.zeros(2)
-    p = constant_problem([0.0, 0.0])
-    trace = run_oco(p, "amsgrad", H_REF, 20, x1=center, record_full=True)
+    p = dataclasses.replace(constant_problem([0.0, 0.0]), x1=center)
+    trace = run_oco(p, "amsgrad", H_REF, 20, record_full=True)
     assert np.all(trace.gradient_history == 0.0)
     assert np.all(trace.cumulative_regret == 0.0)
     np.testing.assert_array_equal(trace.final_x, center)
@@ -246,8 +248,16 @@ def assert_float_oracle_is_the_array_path(p, xs, ts):
 @st.composite
 def float_oracle_cases(draw):
     """A synthetic or quadratic problem at d = 1 to 16, on a box with signed
-    zero bounds, a point with signed zero coordinates, and the chunk edges
-    visited forwards, backwards or in random order."""
+    zero bounds, at a point with signed zero coordinates, or the logistic
+    problem at signed zeros and the corners of its box; and the chunk
+    edges, which hold the keyed tables' 4096-row block edge, visited
+    forwards, backwards or in random order."""
+    ts = draw(st.one_of(st.just(CHUNK_EDGES), st.just(CHUNK_EDGES[::-1]),
+                        st.permutations(CHUNK_EDGES)))
+    if draw(st.integers(0, 2)) == 0:
+        xs = draw(st.lists(st.one_of(st.sampled_from([0.0, -0.0, -10.0, 10.0]),
+                                     st.floats(-10.0, 10.0)), min_size=3, max_size=3))
+        return toy_training_problem(draw(st.integers(0, 3))), xs, ts
     d = draw(st.integers(1, SCALAR_MAX_DIM))
 
     def vector(elements):
@@ -262,14 +272,14 @@ def float_oracle_cases(draw):
         problem = quadratic_problem(draw(st.integers(0, 50)), d, box=box)
     xs = vector(st.one_of(st.sampled_from([0.0, -0.0, 0.3, -0.7, 1.0]),
                           st.floats(-2.0, 2.0)))
-    ts = draw(st.one_of(st.just(CHUNK_EDGES), st.just(CHUNK_EDGES[::-1]),
-                        st.permutations(CHUNK_EDGES)))
     return problem, xs, ts
 
 
 @settings(max_examples=60, deadline=None)
 @given(float_oracle_cases())
 @example((synthetic_problem(), [-0.0], [*CHUNK_EDGES[::-1], 102, 101]))
+@example((toy_training_problem(0), [-0.0, 0.0, -0.0], CHUNK_EDGES))
+@example((toy_training_problem(1), [10.0, -10.0, 10.0], CHUNK_EDGES[::-1]))
 def test_float_oracle_is_bitwise_the_array_path(case):
     assert_float_oracle_is_the_array_path(*case)
 
@@ -503,7 +513,7 @@ def test_run_rejects_bad_horizon_and_start():
     with pytest.raises(ValueError):
         run_oco(p, "amsgrad", H_REF, 0)
     with pytest.raises(ValueError):
-        run_oco(p, "amsgrad", H_REF, 5, x1=np.array([2.0]))
+        run_oco(dataclasses.replace(p, x1=np.array([2.0])), "amsgrad", H_REF, 5)
 
 
 def test_default_start_prefers_problem_start_point():
@@ -526,12 +536,22 @@ def test_numeric_fault_carries_step():
     assert info.value.step == 1
 
 
+def float_oracle(grad):
+    """The float gradient oracle that is bitwise ``grad``, by construction."""
+    return lambda t, xs: np.asarray(grad(t, np.array(xs)), np.float64).tolist()
+
+
 def constant_problem(g):
     box = FeasibleBox.cube(-1.0, 1.0, len(g))
+
+    def grad(t, x):
+        return np.array(g)
+
     return ProblemInstance(d=len(g), cost=lambda t, x: 0.0,
-                           grad=lambda t, x: np.array(g), box=box, g_inf=1.0,
+                           grad=grad, box=box, g_inf=1.0,
                            costs=lambda T, x: np.zeros(T),
-                           comparator_for=lambda T: np.zeros(len(g)), name="constant")
+                           comparator_for=lambda T: np.zeros(len(g)), name="constant",
+                           grad_floats=float_oracle(grad))
 
 
 def hold(state, g, h, box):
@@ -569,9 +589,27 @@ def run_outcome(problem, stepper, h, T, **kwargs):
             for name, value in ((f, getattr(trace, f)) for f in TRACE_FIELDS)]
 
 
-def run_both(problem, name, h, T, **kwargs):
-    """The outcome of a named run, checked to be that of the step loop."""
-    got = run_outcome(problem, name, h, T, **kwargs)
+@contextlib.contextmanager
+def kernel_runs():
+    """The dimensions of the runs that ``run_oco`` hands to the run kernel."""
+    calls = []
+
+    def counting(rule, problem, *rest):
+        calls.append(problem.d)
+        return run_scalar(rule, problem, *rest)
+
+    with mock.patch.object(harness, "run_scalar", counting):
+        yield calls
+
+
+def run_both(problem, name, h, T, kernel, **kwargs):
+    """The outcome of a named run, checked to be that of the step loop and
+    to have entered the run kernel exactly when ``kernel`` is set, so that
+    a problem that drops its float oracle cannot compare the step loop
+    with itself."""
+    with kernel_runs() as calls:
+        got = run_outcome(problem, name, h, T, **kwargs)
+    assert calls == ([problem.d] if kernel else [])
     assert got == run_outcome(problem, STEPPERS[name], h, T, **kwargs)
     return got
 
@@ -599,11 +637,11 @@ def run_cases(draw):
         lower = vector(st.sampled_from([-1.0, -0.5, 0.0]))
         box = FeasibleBox(lower, lower + vector(st.sampled_from([0.0, 0.25, 1.0, 2.0])))
         problem = quadratic_problem(draw(st.integers(0, 50)), d, box=box)
-    x1 = None
     if draw(st.booleans()):
         box = problem.box
         x1 = box.lower + vector(st.sampled_from([0.0, 0.3, 1.0])) * (box.upper - box.lower)
-    kwargs = dict(x1=x1, record_full=draw(st.booleans()),
+        problem = dataclasses.replace(problem, x1=x1)
+    kwargs = dict(record_full=draw(st.booleans()),
                   record_iterates=draw(st.sampled_from([None, False, True])))
     # short runs, or runs whose histories are stored across one or two block edges
     T = draw(st.one_of(st.integers(1, 40), st.integers(_BLOCK - 1, 2 * _BLOCK + 1)))
@@ -614,7 +652,7 @@ def run_cases(draw):
 @given(run_cases())
 def test_named_run_is_bitwise_the_step_loop(case):
     problem, name, h, T, kwargs = case
-    got = run_both(problem, name, h, T, **kwargs)
+    got = run_both(problem, name, h, T, problem.d <= SCALAR_MAX_DIM, **kwargs)
     assert isinstance(got, list)
 
 
@@ -627,7 +665,8 @@ def oracle_problem(d, grad, cost=lambda t, x: 0.0):
         return np.array([cost(t, xs[t - 1]) for t in range(1, T + 1)], dtype=float)
 
     return ProblemInstance(d=d, cost=cost, grad=grad, box=box, g_inf=1.0, costs=costs,
-                           comparator_for=lambda T: np.zeros(d), name="oracle")
+                           comparator_for=lambda T: np.zeros(d), name="oracle",
+                           grad_floats=float_oracle(grad))
 
 
 def at_step(k, bad):
@@ -686,7 +725,7 @@ def test_named_run_faults_like_the_step_loop(case, name):
     grad, cost, T, fault = case
     for d in (1, 5, SCALAR_MAX_DIM + 1):
         problem = oracle_problem(d, grad(d), cost or (lambda t, x: 0.0))
-        got = run_both(problem, name, H_REF, T, record_full=True)
+        got = run_both(problem, name, H_REF, T, d <= SCALAR_MAX_DIM, record_full=True)
         if fault is None:
             assert isinstance(got, list)
         else:
@@ -699,7 +738,7 @@ def test_named_run_scores_no_loss_where_the_gradient_raised(k):
     # at step k hides the infinite loss of step k
     for d in (1, 5):
         problem = oracle_problem(d, at_step(k, lambda d: "not a number")(d), cost_inf_at(k))
-        got = run_both(problem, "adamx", H_REF, _BLOCK + 10)
+        got = run_both(problem, "adamx", H_REF, _BLOCK + 10, True)
         assert got[:2] == (ValueError, "could not convert string to float: 'not a number'")
 
 
@@ -718,7 +757,9 @@ def test_run_kernel_scores_the_rows_of_the_block_a_fault_cuts_short(k):
     assert np.isfinite(hist.iterates[:k]).all() and np.isnan(hist.iterates[k:]).all()
 
 
-# each entry maps d to what a gradient oracle returns: off-shape, or not float64
+# each entry maps d to what a gradient oracle returns: off-shape, or not float64.
+# No float oracle returns these, so a problem whose ``grad`` does has none and
+# takes the step loop, named or not.
 ODD_GRADIENTS = {
     "python-float": lambda d: 0.5,
     "too-long": lambda d: np.ones(d + 1),
@@ -732,8 +773,8 @@ ODD_GRADIENTS = {
 @pytest.mark.parametrize("g", ODD_GRADIENTS.values(), ids=ODD_GRADIENTS.keys())
 def test_named_run_takes_odd_gradients_like_the_step_loop(g):
     for d in (1, 5):
-        got = run_both(oracle_problem(d, lambda t, x: g(d)), "adamx", H_REF, 4,
-                       record_full=True)
+        problem = dataclasses.replace(oracle_problem(d, lambda t, x: g(d)), grad_floats=None)
+        got = run_both(problem, "adamx", H_REF, 4, False, record_full=True)
         assert isinstance(got, list) or got[0] in (ValueError, NumericFault)
 
 
@@ -743,8 +784,10 @@ def test_named_run_checks_the_loss_before_an_odd_gradient(odd, k):
     # the step loop checks the loss of step k before it stores or coerces the
     # gradient of step k, so an off-shape gradient there hides behind the fault
     for d in (1, 5):
-        problem = oracle_problem(d, at_step(k, ODD_GRADIENTS[odd])(d), cost_inf_at(k))
-        got = run_both(problem, "adamx", H_REF, _BLOCK + 10)
+        problem = dataclasses.replace(
+            oracle_problem(d, at_step(k, ODD_GRADIENTS[odd])(d), cost_inf_at(k)),
+            grad_floats=None)
+        got = run_both(problem, "adamx", H_REF, _BLOCK + 10, False)
         assert got == (NumericFault, f"non-finite cost or gradient at step {k}", k)
 
 
@@ -759,12 +802,16 @@ def edge_case(lower, upper, x1, grads, h=H_REF, **kwargs):
     step-t gradient is ``grads[t - 1]``, as (problem, h, T, run_oco kwargs)."""
     lower = np.array(lower, dtype=float)
     grads = [np.array(g, dtype=float) for g in grads]
-    problem = ProblemInstance(d=len(lower), cost=lambda t, x: 0.0,
-                              grad=lambda t, x: grads[t - 1],
+
+    def grad(t, x):
+        return grads[t - 1]
+
+    problem = ProblemInstance(d=len(lower), cost=lambda t, x: 0.0, grad=grad,
                               box=FeasibleBox(lower, np.array(upper, dtype=float)),
                               g_inf=1.0, costs=lambda T, x: np.zeros(T),
-                              comparator_for=lambda T: lower.copy(), name="edge")
-    return problem, h, len(grads), dict(x1=np.array(x1, dtype=float), **kwargs)
+                              comparator_for=lambda T: lower.copy(), name="edge",
+                              x1=np.array(x1, dtype=float), grad_floats=float_oracle(grad))
+    return problem, h, len(grads), kwargs
 
 
 @st.composite
@@ -813,7 +860,7 @@ def edge_runs(draw):
 def test_named_run_is_bitwise_the_step_loop_on_edge_gradients(case):
     problem, h, T, kwargs = case
     for name in sorted(STEPPERS):
-        run_both(problem, name, h, T, **kwargs)
+        run_both(problem, name, h, T, problem.d <= SCALAR_MAX_DIM, **kwargs)
 
 
 # The digests every perfbench pass is checked against. The corpus workload
@@ -867,29 +914,29 @@ def test_cli_decay_trace_matches_benchmark_digest(tmp_path):
     assert digest == benchmark_digests()["csv:decay:1010"]
 
 
-def test_named_runs_take_the_run_kernel_up_to_scalar_max_dim(monkeypatch):
-    calls = []
-
-    def counting(rule, problem, *rest):
-        calls.append(problem.d)
-        return run_scalar(rule, problem, *rest)
-
-    monkeypatch.setattr(harness, "run_scalar", counting)
-    for d in (SCALAR_MAX_DIM, SCALAR_MAX_DIM + 1):
-        run_oco(quadratic_problem(1, d), "adamx", H_REF, 5)
+def test_named_runs_take_the_run_kernel_up_to_scalar_max_dim():
+    with kernel_runs() as calls:
+        for d in (SCALAR_MAX_DIM, SCALAR_MAX_DIM + 1):
+            run_oco(quadratic_problem(1, d), "adamx", H_REF, 5)
     assert calls == [SCALAR_MAX_DIM]
 
 
 def test_named_run_scores_its_losses_in_one_costs_call():
     # a named run calls the float oracle alone once a step; the step loop
-    # calls grad and cost once a step and never the float oracle
+    # calls grad and cost once a step and never the float oracle, and it is
+    # what a named run without a float oracle takes
     T = 50
     kernel = {"cost": 0, "grad": 0, "grad_floats": T, "costs": 2}  # the losses and the comparator's
     loop = {"cost": T, "grad": T, "grad_floats": 0, "costs": 1}
-    for stepper, d, expected in (("adamx", 1, kernel), ("adamx", SCALAR_MAX_DIM, kernel),
-                                 ("adamx", SCALAR_MAX_DIM + 1, loop),
-                                 (STEPPERS["adamx"], 1, loop)):
-        p = quadratic_problem(1, d)
+    no_float_oracle = {"cost": T, "grad": T, "costs": 1}
+    for stepper, p, expected in (
+            ("adamx", quadratic_problem(1, 1), kernel),
+            ("adamx", quadratic_problem(1, SCALAR_MAX_DIM), kernel),
+            ("adamx", quadratic_problem(1, SCALAR_MAX_DIM + 1), loop),
+            (STEPPERS["adamx"], quadratic_problem(1, 1), loop),
+            ("adamx", toy_training_problem(1), kernel),
+            ("adamx", dataclasses.replace(quadratic_problem(1, 1), grad_floats=None),
+             no_float_oracle)):
         calls = dict.fromkeys(expected, 0)
 
         def counted(name):
