@@ -210,9 +210,8 @@ def _summary_line(trace):
 
 def _execute_run(config):
     """Run one config; returns (exit_code, summary_or_error, trace)."""
-    problem = config.problem_instance()
     try:
-        trace = run_oco(problem, config.optimizer, config.hyperparams(),
+        trace = run_oco(config.problem_instance(), config.optimizer, config.hyperparams(),
                         config.steps, record_iterates=True)
     except NumericFault as err:
         return EXIT_NUMERIC, f"numeric fault at step {err.step}: {err}", None
@@ -238,10 +237,13 @@ def cmd_run(args):
                 print("config file holds an empty list: no run to make", file=sys.stderr)
                 return EXIT_USAGE
             entries, batch = loaded, True
-        elif isinstance(loaded, dict):
-            entries = [loaded]
         else:
-            print("config file must hold an object or a list of objects", file=sys.stderr)
+            entries = [loaded]
+        bad = [i for i, entry in enumerate(entries) if not isinstance(entry, dict)]
+        if bad:
+            where = f" (entry {bad[0]} is not an object)" if batch else ""
+            print(f"config file must hold an object or a list of objects{where}",
+                  file=sys.stderr)
             return EXIT_USAGE
 
     try:

@@ -35,23 +35,23 @@ _CHUNK = 256
 class ProblemInstance:
     """A cost sequence plus the constants the regret bounds consume.
 
-    Every problem supplies ``costs`` and ``comparator_for``. ``costs``
-    maps (T, x) to the array f_1(x), ..., f_T(x) for one point x of shape
-    (d,), or to f_1(x_1), ..., f_T(x_T) for a stack x of shape (T, d), in
-    one vectorized pass, bitwise equal to calling ``cost`` once per t;
+    Every problem supplies ``costs``, ``comparator_for`` and
+    ``grad_floats``. ``costs`` maps (T, x) to the array f_1(x), ...,
+    f_T(x) for one point x of shape (d,), or to f_1(x_1), ..., f_T(x_T)
+    for a stack x of shape (T, d), in one vectorized pass, bitwise equal
+    to calling ``cost`` once per t;
     ``run_oco`` scores the comparator with it, and the run kernel the
     iterates of a whole run. ``comparator_for`` maps a horizon T to the argmin
     of the first-T sum over the box. ``x1`` is the starting iterate, the box
     center when None. ``full_objective``, when present, scores a point
     against the whole dataset behind the cost sequence.
 
-    ``grad_floats``, when present, is the gradient oracle on Python
-    floats: it maps (t, xs), the point as a list of d floats, to the
-    step-t gradient as a list of d floats, bit for bit equal to
-    ``np.asarray(grad(t, np.array(xs)), np.float64).tolist()``. Every
-    built-in problem has one. A named run on at most SCALAR_MAX_DIM
-    coordinates goes to the run kernel only when it is set, and calls it
-    in place of ``grad``; without it the run takes the step loop.
+    ``grad_floats`` is the gradient oracle on Python floats: it maps
+    (t, xs), the point as a list of d floats, to the step-t gradient as a
+    list of d floats, bit for bit equal to
+    ``np.asarray(grad(t, np.array(xs)), np.float64).tolist()``. A named run
+    on at most SCALAR_MAX_DIM coordinates goes to the run kernel, which
+    calls it in place of ``grad``.
     """
 
     d: int
@@ -61,10 +61,10 @@ class ProblemInstance:
     g_inf: float
     costs: Callable[[int, np.ndarray], np.ndarray]
     comparator_for: Callable[[int], np.ndarray]
+    grad_floats: Callable[[int, list], list]
     x1: Optional[np.ndarray] = None
     name: str = ""
     full_objective: Optional[Callable[[np.ndarray], float]] = None
-    grad_floats: Optional[Callable[[int, list], list]] = None
 
 
 def synthetic_problem():
@@ -280,12 +280,11 @@ def run_oco(problem, stepper, h, T, record_full=False, record_iterates=None):
     does (memory grows with T*d). A numeric fault inside a step propagates
     with the 1-based step index attached.
 
-    A named stepper on a problem with a float oracle ``grad_floats`` and at
-    most SCALAR_MAX_DIM coordinates runs the whole run in
-    ``optimizers.run_scalar``, which takes its gradients from that oracle
-    alone; any other run (a step function, a problem without a float
-    oracle, more coordinates) runs one ``grad``, ``cost`` and ``step`` call
-    per round. Both give the same bytes and the same faults.
+    A named stepper on a problem of at most SCALAR_MAX_DIM coordinates runs
+    the whole run in ``optimizers.run_scalar``, which takes its gradients
+    from the problem's float oracle ``grad_floats`` alone; a step function
+    or a wider problem runs one ``grad``, ``cost`` and ``step`` call per
+    round. Both give the same bytes and the same faults.
     """
     step = resolve_stepper(stepper)
     if T < 1:
@@ -298,18 +297,16 @@ def run_oco(problem, stepper, h, T, record_full=False, record_iterates=None):
         record_iterates = record_full
 
     hist = History(T, x1, record_full)
-    if (isinstance(stepper, str) and problem.d <= SCALAR_MAX_DIM
-            and problem.grad_floats is not None):
-        state = run_scalar(RULES[stepper], problem, h, hist)
+    if isinstance(stepper, str) and problem.d <= SCALAR_MAX_DIM:
+        run_scalar(RULES[stepper], problem, h, hist)
     else:
         state = fresh_state(x1)
         for t in range(1, T + 1):
             g = np.asarray(problem.grad(t, state.x), dtype=np.float64)
             loss = problem.cost(t, state.x)
             check_oracle(t, loss, g)
-            hist.row(t, loss, g)
             state = step(state, g, h, problem.box)
-            hist.stepped(t, state)
+            hist.stepped(t, loss, g, state)
 
     comparator = comparator_oracle(problem, T)
     comp_losses = problem.costs(T, comparator)
@@ -319,7 +316,7 @@ def run_oco(problem, stepper, h, T, record_full=False, record_iterates=None):
         cumulative_regret=np.cumsum(hist.losses - comp_losses),
         gradient_history=hist.grads,
         comparator=comparator,
-        final_x=state.x.copy(),
+        final_x=hist.iterates[T].copy(),
         T=T,
         iterates=hist.iterates if record_iterates else None,
         m_history=hist.m,

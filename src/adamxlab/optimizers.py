@@ -32,18 +32,18 @@ v, v_hat or iterate raises NumericFault naming the quantity and the step.
 hands it the run when it is given a stepper name and the problem has at
 most ``SCALAR_MAX_DIM`` = 16 coordinates. It carries x, m, v and v_hat as
 lists of floats from step to step and runs the step coordinate by
-coordinate inside its loop, so the per-step checks, ``tolist`` calls and
-``OptimizerState`` of a step function are paid once a run. A step makes
-one call outside the kernel, to the problem's float gradient oracle
-``grad_floats``, which takes and returns lists of floats, so the kernel
-builds no array. The rows a run keeps are stored by ``History``, the
-kernel's a block at a time, and the losses f_t(x_t) are scored after the
-run by one ``costs(T, X)`` call on the iterates. A step function
-(perfbench's traced passes hand ``run_oco`` a wrapped one), a problem
-without a float oracle (a custom one) or a wider problem runs the step
-loop: one ``grad``, ``cost`` and ``_array_step`` call per round. It is
-the one place that checks and coerces gradients that are off-shape or
-not float64; ``SCALAR_MAX_DIM`` says why the cut sits where it does.
+coordinate inside its loop, so it skips the per-step checks, ``tolist``
+calls and ``OptimizerState`` of a step function. A step makes one call
+outside the kernel, to the float gradient oracle ``grad_floats`` that
+every problem brings, which takes and returns lists of floats, so the
+kernel builds no array. The rows a run keeps are stored by
+``History``, the kernel's a block at a time, and the losses f_t(x_t) are
+scored after the run by one ``costs(T, X)`` call on the iterates. A step
+function (perfbench's traced passes hand ``run_oco`` a wrapped one) or a
+wider problem runs the step loop: one ``grad``, ``cost`` and step call per
+round. It is the one place that checks and coerces gradients that are
+off-shape or not float64; ``SCALAR_MAX_DIM`` says why the cut sits where
+it does.
 
 The two are bitwise equal: Python's float + - * / are IEEE-754 binary64
 operations rounded to nearest, as numpy's ufuncs are, ``math.sqrt`` is
@@ -255,11 +255,12 @@ _BLOCK = 256
 
 
 class History:
-    """Every row a run keeps. Row t-1 of ``losses``, ``grads``, ``m``, ``v``
-    and ``v_hat`` holds step t; the moments are kept only when ``full`` is
-    set (None otherwise), while ``iterates`` always holds x_1..x_{T+1}: the
-    run kernel scores the losses from them. The kernel hands over a block's
-    rows through ``store``, the step loop one step's through ``row`` and
+    """Every row a run keeps, and the run's only output. Row t-1 of
+    ``losses``, ``grads``, ``m``, ``v`` and ``v_hat`` holds step t; the
+    moments are kept only when ``full`` is set (None otherwise), while
+    ``iterates`` always holds x_1..x_{T+1}: the run kernel scores the losses
+    from them, and x_{T+1} is the run's final iterate. The kernel hands over
+    a block's rows through ``store``, the step loop one step's through
     ``stepped``."""
 
     def __init__(self, T, x1, full):
@@ -283,15 +284,11 @@ class History:
             view[at:at + len(buf)] = array("d", buf)
             buf.clear()
 
-    def row(self, t, loss, g):
-        """The step loop's step-t loss and gradient, stored before the step
-        runs so that an off-shape gradient fails as in the run kernel."""
+    def stepped(self, t, loss, g, state):
+        """The step loop's step-t loss and gradient, the iterate x_{t+1} and,
+        when ``full``, the moments of the state step t returned."""
         self.losses[t - 1] = loss
         self.grads[t - 1] = g
-
-    def stepped(self, t, state):
-        """The iterate x_{t+1} and, when ``full``, the moments of the
-        state step t returned."""
         self.iterates[t] = state.x
         if self.full:
             self.m[t - 1] = state.m
@@ -316,19 +313,19 @@ def run_scalar(rule, problem, h, hist):
     carried on lists of Python floats.
 
     Step t takes the gradient at x_t from ``problem.grad_floats``, which
-    must be set, and runs coordinate by coordinate, bitwise equal to
-    ``_array_step`` on the states a run reaches; a step whose fused
-    finiteness sum is not finite is re-run on a rebuilt state as the module
-    docstring says, so a run keeps only coordinate steps whose entries are
-    all finite. Its rows go to flat lists that ``hist.store`` takes
-    ``_BLOCK`` rows at a time.
+    must return d floats (ValueError otherwise), and runs coordinate by
+    coordinate, bitwise equal to ``_array_step`` on the states a run
+    reaches; a step whose fused finiteness sum is not finite is re-run on
+    a rebuilt state as the module docstring says, so a run keeps only
+    coordinate steps whose entries are all finite. Its rows go to flat
+    lists that ``hist.store`` takes ``_BLOCK`` rows at a time.
 
     The losses f_t(x_t) are scored after the steps, by one
     ``problem.costs(T, X)`` call on the iterate rows. The step loop checks
     each loss before its step, so when a step raises, the losses up to it
     (up to the step before, if the gradient oracle raised) are scored
     first, and a non-finite one raises the oracle's fault at its own step
-    instead. Returns the final state.
+    instead. Its only output is ``hist``.
     """
     grad_floats, costs, box = problem.grad_floats, problem.costs, problem.box
     T, d = hist.grads.shape
@@ -349,6 +346,9 @@ def run_scalar(rule, problem, h, hist):
             for t in range(start + 1, min(start + _BLOCK, T) + 1):
                 gs = grad_floats(t, xs)
                 oracled = t
+                if len(gs) != d:
+                    raise ValueError(f"grad_floats returned {len(gs)} coordinates "
+                                     f"at step {t}, expected {d}")
                 b1 = beta1(t)
                 w = rule(t, b1, b1_prev)
                 c1, a = 1.0 - b1, alpha / sqrt(t)
@@ -394,8 +394,6 @@ def run_scalar(rule, problem, h, hist):
             _scored(costs, hist.iterates[:oracled])
         raise
     hist.losses[:] = _scored(costs, hist.iterates[:T])
-    return OptimizerState(x=np.array(xs), m=np.array(ms), v=np.array(vs),
-                          v_hat=np.array(vhs), t=T, beta1_prev=b1_prev)
 
 
 def step_adam(state, g, h, box):

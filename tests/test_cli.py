@@ -112,10 +112,14 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
 
 def test_config_must_be_object_or_list(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text("42")
-    code, out, err = run_cli(["run", "--config", str(cfg)], capsys)
-    assert code == 2
-    assert "object or a list" in err
+    # what the file holds, and the index of the entry that is not an object
+    for loaded, entry in ((42, None), ([1, 2], 0), (["a"], 0), ([None], 0),
+                          ([{"steps": 5, "output_path": "a.csv"}, 3], 1)):
+        cfg.write_text(json.dumps(loaded))
+        code, out, err = run_cli(["run", "--config", str(cfg)], capsys)
+        assert code == 2
+        where = "" if entry is None else f" (entry {entry} is not an object)"
+        assert err == f"config file must hold an object or a list of objects{where}\n"
 
 
 def test_config_missing_file(tmp_path, capsys):
@@ -647,6 +651,31 @@ def test_batch_entry_too_large_to_allocate_fails_alone(tmp_path, capsys, monkeyp
     code, out, err = run_cli(["run", "--config", str(cfg)], capsys)
     assert code == 2
     assert err == f"run too large to allocate: steps={10 ** 12}, dim=4\n"
+    assert len(out.strip().splitlines()) == 1
+    assert not big.exists() and small.exists()
+
+
+def test_problem_too_large_to_allocate_exits_2(tmp_path, capsys, monkeypatch):
+    from adamxlab import cli
+
+    def oversized(seed, d):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "quadratic_problem", oversized)
+    code, out, err = run_cli(["run", "--problem", "quadratic", "--dim", "100000000000",
+                              "--steps", "5"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "run too large to allocate: steps=5, dim=100000000000\n"
+    big, small = tmp_path / "big.csv", tmp_path / "small.csv"
+    cfg = tmp_path / "batch.json"
+    cfg.write_text(json.dumps([
+        {"problem": "quadratic", "dim": 10 ** 11, "steps": 5, "output_path": str(big)},
+        {"steps": 3, "output_path": str(small)},
+    ]))
+    code, out, err = run_cli(["run", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert err == f"run too large to allocate: steps=5, dim={10 ** 11}\n"
     assert len(out.strip().splitlines()) == 1
     assert not big.exists() and small.exists()
 

@@ -474,13 +474,15 @@ def test_toy_comparator_beats_grid_probes():
 # ------------------------------------------------------------- run_oco api
 
 def test_problem_requires_costs_and_comparator():
-    # a problem without its comparator losses or its comparator cannot be built
+    # a problem without its comparator losses, its comparator or its float
+    # gradient oracle cannot be built
     parts = dict(d=2, cost=lambda t, x: float(np.sum(x**2)),
                  grad=lambda t, x: 2.0 * x, box=FeasibleBox.cube(-1.0, 1.0, 2),
                  g_inf=4.0, costs=lambda T, x: np.full(T, float(np.sum(x**2))),
-                 comparator_for=lambda T: np.zeros(2))
+                 comparator_for=lambda T: np.zeros(2),
+                 grad_floats=lambda t, xs: [2.0 * x for x in xs])
     ProblemInstance(**parts)
-    for missing in ("costs", "comparator_for"):
+    for missing in ("costs", "comparator_for", "grad_floats"):
         with pytest.raises(TypeError, match=missing):
             ProblemInstance(**{k: v for k, v in parts.items() if k != missing})
 
@@ -602,14 +604,14 @@ def kernel_runs():
         yield calls
 
 
-def run_both(problem, name, h, T, kernel, **kwargs):
+def run_both(problem, name, h, T, **kwargs):
     """The outcome of a named run, checked to be that of the step loop and
-    to have entered the run kernel exactly when ``kernel`` is set, so that
-    a problem that drops its float oracle cannot compare the step loop
-    with itself."""
+    to have entered the run kernel exactly when the problem has at most
+    SCALAR_MAX_DIM coordinates, so that a run at d <= 16 cannot compare the
+    step loop with itself."""
     with kernel_runs() as calls:
         got = run_outcome(problem, name, h, T, **kwargs)
-    assert calls == ([problem.d] if kernel else [])
+    assert calls == ([problem.d] if problem.d <= SCALAR_MAX_DIM else [])
     assert got == run_outcome(problem, STEPPERS[name], h, T, **kwargs)
     return got
 
@@ -652,7 +654,7 @@ def run_cases(draw):
 @given(run_cases())
 def test_named_run_is_bitwise_the_step_loop(case):
     problem, name, h, T, kwargs = case
-    got = run_both(problem, name, h, T, problem.d <= SCALAR_MAX_DIM, **kwargs)
+    got = run_both(problem, name, h, T, **kwargs)
     assert isinstance(got, list)
 
 
@@ -725,7 +727,7 @@ def test_named_run_faults_like_the_step_loop(case, name):
     grad, cost, T, fault = case
     for d in (1, 5, SCALAR_MAX_DIM + 1):
         problem = oracle_problem(d, grad(d), cost or (lambda t, x: 0.0))
-        got = run_both(problem, name, H_REF, T, d <= SCALAR_MAX_DIM, record_full=True)
+        got = run_both(problem, name, H_REF, T, record_full=True)
         if fault is None:
             assert isinstance(got, list)
         else:
@@ -738,8 +740,32 @@ def test_named_run_scores_no_loss_where_the_gradient_raised(k):
     # at step k hides the infinite loss of step k
     for d in (1, 5):
         problem = oracle_problem(d, at_step(k, lambda d: "not a number")(d), cost_inf_at(k))
-        got = run_both(problem, "adamx", H_REF, _BLOCK + 10, True)
+        got = run_both(problem, "adamx", H_REF, _BLOCK + 10)
         assert got[:2] == (ValueError, "could not convert string to float: 'not a number'")
+
+
+@pytest.mark.parametrize("k", [1, LATE])
+@pytest.mark.parametrize("extra", [-1, 1], ids=["too-short", "too-long"])
+def test_run_kernel_rejects_a_float_oracle_of_the_wrong_length(extra, k):
+    # the kernel walks the coordinates with zip, which would stop at the
+    # shorter list
+    for d in (1, 3):
+        n = d + extra
+
+        def grad_floats(t, xs):
+            return [0.5] * (n if t == k else d)
+
+        problem = dataclasses.replace(oracle_problem(d, lambda t, x: np.full(d, 0.5)),
+                                      grad_floats=grad_floats)
+        got = run_outcome(problem, "adamx", H_REF, _BLOCK + 10)
+        assert got == (ValueError, f"grad_floats returned {n} coordinates at step {k}, "
+                                   f"expected {d}", None)
+        # a non-finite loss at that step comes first, as in the step loop
+        problem = dataclasses.replace(
+            oracle_problem(d, lambda t, x: np.full(d, 0.5), cost_inf_at(k)),
+            grad_floats=grad_floats)
+        got = run_both(problem, "adamx", H_REF, _BLOCK + 10)
+        assert got == (NumericFault, f"non-finite cost or gradient at step {k}", k)
 
 
 @pytest.mark.parametrize("k", [4, LATE])
@@ -758,14 +784,14 @@ def test_run_kernel_scores_the_rows_of_the_block_a_fault_cuts_short(k):
 
 
 # each entry maps d to what a gradient oracle returns: off-shape, or not float64.
-# No float oracle returns these, so a problem whose ``grad`` does has none and
-# takes the step loop, named or not.
+# A float oracle returns none of these, so only the step loop, which calls
+# ``grad``, can meet them; the tests run it through a step function.
 ODD_GRADIENTS = {
     "python-float": lambda d: 0.5,
     "too-long": lambda d: np.ones(d + 1),
     "row-matrix": lambda d: np.ones((1, d)),
     "integers": lambda d: [1] * d,
-    # the run's own check comes first: a fault, not a broadcast error
+    # the run's own check comes first: a fault, not a dimension mismatch
     "too-long-and-non-finite": lambda d: np.r_[np.ones(d), np.inf],
 }
 
@@ -773,21 +799,19 @@ ODD_GRADIENTS = {
 @pytest.mark.parametrize("g", ODD_GRADIENTS.values(), ids=ODD_GRADIENTS.keys())
 def test_named_run_takes_odd_gradients_like_the_step_loop(g):
     for d in (1, 5):
-        problem = dataclasses.replace(oracle_problem(d, lambda t, x: g(d)), grad_floats=None)
-        got = run_both(problem, "adamx", H_REF, 4, False, record_full=True)
+        problem = oracle_problem(d, lambda t, x: g(d))
+        got = run_outcome(problem, STEPPERS["adamx"], H_REF, 4, record_full=True)
         assert isinstance(got, list) or got[0] in (ValueError, NumericFault)
 
 
 @pytest.mark.parametrize("k", [3, LATE])
 @pytest.mark.parametrize("odd", ["python-float", "too-long", "row-matrix"])
 def test_named_run_checks_the_loss_before_an_odd_gradient(odd, k):
-    # the step loop checks the loss of step k before it stores or coerces the
+    # the step loop checks the loss of step k before its step coerces the
     # gradient of step k, so an off-shape gradient there hides behind the fault
     for d in (1, 5):
-        problem = dataclasses.replace(
-            oracle_problem(d, at_step(k, ODD_GRADIENTS[odd])(d), cost_inf_at(k)),
-            grad_floats=None)
-        got = run_both(problem, "adamx", H_REF, _BLOCK + 10, False)
+        problem = oracle_problem(d, at_step(k, ODD_GRADIENTS[odd])(d), cost_inf_at(k))
+        got = run_outcome(problem, STEPPERS["adamx"], H_REF, _BLOCK + 10)
         assert got == (NumericFault, f"non-finite cost or gradient at step {k}", k)
 
 
@@ -860,7 +884,7 @@ def edge_runs(draw):
 def test_named_run_is_bitwise_the_step_loop_on_edge_gradients(case):
     problem, h, T, kwargs = case
     for name in sorted(STEPPERS):
-        run_both(problem, name, h, T, problem.d <= SCALAR_MAX_DIM, **kwargs)
+        run_both(problem, name, h, T, **kwargs)
 
 
 # The digests every perfbench pass is checked against. The corpus workload
@@ -923,20 +947,16 @@ def test_named_runs_take_the_run_kernel_up_to_scalar_max_dim():
 
 def test_named_run_scores_its_losses_in_one_costs_call():
     # a named run calls the float oracle alone once a step; the step loop
-    # calls grad and cost once a step and never the float oracle, and it is
-    # what a named run without a float oracle takes
+    # calls grad and cost once a step and never the float oracle
     T = 50
     kernel = {"cost": 0, "grad": 0, "grad_floats": T, "costs": 2}  # the losses and the comparator's
     loop = {"cost": T, "grad": T, "grad_floats": 0, "costs": 1}
-    no_float_oracle = {"cost": T, "grad": T, "costs": 1}
     for stepper, p, expected in (
             ("adamx", quadratic_problem(1, 1), kernel),
             ("adamx", quadratic_problem(1, SCALAR_MAX_DIM), kernel),
             ("adamx", quadratic_problem(1, SCALAR_MAX_DIM + 1), loop),
             (STEPPERS["adamx"], quadratic_problem(1, 1), loop),
-            ("adamx", toy_training_problem(1), kernel),
-            ("adamx", dataclasses.replace(quadratic_problem(1, 1), grad_floats=None),
-             no_float_oracle)):
+            ("adamx", toy_training_problem(1), kernel)):
         calls = dict.fromkeys(expected, 0)
 
         def counted(name):

@@ -366,7 +366,7 @@ def test_run_kernel_beta1_is_beta1_sequence(schedule):
     h = HyperParams(alpha=0.001, beta1=0.9, beta2=0.999, lam=0.999, schedule=schedule)
     p, T = synthetic_problem(), 50500
     hist = History(T, p.x1, True)
-    state = run_scalar(_raw, p, h, hist)
+    run_scalar(_raw, p, h, hist)
     grads, m_hist = hist.grads, hist.m
     seq = beta1_sequence(h, T)
     # the schedules written out once more, as the reference
@@ -374,7 +374,6 @@ def test_run_kernel_beta1_is_beta1_sequence(schedule):
                Schedule.EXP_DECAY: lambda t: 0.9 * 0.999 ** (t - 1),
                Schedule.INVERSE_T: lambda t: 0.9 / t}[schedule]
     assert seq.tobytes() == np.array([written(t) for t in range(1, T + 1)]).tobytes()
-    assert state.t == T and state.beta1_prev == seq[-1]
     m_prev = np.r_[0.0, m_hist[:-1, 0]]
     assert np.array_equal(m_hist[:, 0], seq * m_prev + (1.0 - seq) * grads[:, 0])
 
@@ -389,10 +388,8 @@ def test_named_run_builds_no_state_per_step(monkeypatch):
     monkeypatch.setattr(optimizers, "OptimizerState", counting)
     T = 50
     for d in (1, SCALAR_MAX_DIM):
-        built.clear()
         run_oco(quadratic_problem(1, d), "adamx", H_REF, T, record_full=True)
-        assert built == [T]
+        assert built == []
     # the counter sees the step loop's states: the fresh one and one per step
-    built.clear()
     run_oco(quadratic_problem(1, SCALAR_MAX_DIM), step_adamx, H_REF, T)
     assert len(built) == T + 1
