@@ -506,7 +506,10 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.func(args)
+        # a numeric fault is reported by its own line; numpy's warnings from
+        # the step that raised it would only repeat it
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = args.func(args)
     except NumericFault as err:
         print(f"numeric fault at step {err.step}: {err}", file=sys.stderr)
         code = EXIT_NUMERIC

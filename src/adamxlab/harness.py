@@ -189,8 +189,12 @@ def toy_training_problem(seed=0):
         terms = np.logaddexp(0.0, -m)
         return float(terms.sum() / len(terms))
 
+    expit = None
+
     def gradient(m, xb, yb):
-        from scipy.special import expit
+        nonlocal expit
+        if expit is None:
+            from scipy.special import expit
         coeff = -yb * expit(-m)
         gw = coeff @ xb / len(yb)
         gb = float(coeff.sum() / len(coeff))

@@ -30,13 +30,18 @@ v, v_hat or iterate raises NumericFault naming the quantity and the step.
 
 ``run_scalar`` runs a whole run on Python floats: ``harness.run_oco``
 hands it the run when it is given a stepper name and the problem has at
-most ``SCALAR_MAX_DIM`` = 16 coordinates. It carries x, m, v and v_hat as
-lists of floats from step to step and runs the step coordinate by
-coordinate inside its loop, so it skips the per-step checks, ``tolist``
-calls and ``OptimizerState`` of a step function. A step makes one call
-outside the kernel, to the float gradient oracle ``grad_floats`` that
-every problem brings, which takes and returns lists of floats, so the
-kernel builds no array. The rows a run keeps are stored by
+most ``SCALAR_MAX_DIM`` = 16 coordinates. It runs the run kernel for the
+problem's d: straight-line code generated from one template, ``_KERNEL``,
+on the first run at that d (and again for ``full`` histories), and cached.
+There x, m, v and v_hat are local floats x0 .. x{d-1}, m0 .., and a step
+is the coordinate steps written out one after another, with the test of
+whether the rule returned a weight made once per step; it builds no list
+per coordinate and no ``OptimizerState``. beta1_t comes from
+``beta1_sequence(h, T)``, a read-only column built once per (h, T) and
+shared with the bound and lemma checks. A step makes one call outside
+the kernel, to the float gradient oracle ``grad_floats`` that every
+problem brings, which takes and returns lists of floats, so the kernel
+builds no array. The rows a run keeps are stored by
 ``History``, the kernel's a block at a time, and the losses f_t(x_t) are
 scored after the run by one ``costs(T, X)`` call on the iterates. A step
 function (perfbench's traced passes hand ``run_oco`` a wrapped one) or a
@@ -65,7 +70,10 @@ limit of the true update and keeps the 16-digit reference trajectories),
 or where g_t^2 underflows, as for g_t = 1e-170.
 """
 
+import functools
+import linecache
 import math
+import textwrap
 from array import array
 from dataclasses import dataclass
 from enum import Enum
@@ -78,11 +86,12 @@ from .numerics import as_vector
 # Up to this many coordinates a named run runs on Python floats: there a
 # dozen numpy calls a step on tiny arrays cost more than the arithmetic.
 # The kernel's cost grows with d and the step loop's barely does. On
-# 2000-step amsgrad quadratic runs with full histories (medians of 7, four
-# rounds on a busy 2-vCPU Xeon, Python 3.11, numpy 2.4) the kernel took
-# 9-11 us a step at d = 8 and 12-19 at d = 16, against 28-41 and 26-41 for
-# the loop; at d = 32 (26-42 against 26-35) and d = 48 (29-41 against
-# 29-41) the two overlap. The cut stays at 16: no workload runs d > 5.
+# 2000-step amsgrad quadratic runs with full histories (medians of 7, nine
+# rounds on a busy 2-vCPU Xeon, Python 3.11, numpy 2.4) the generated
+# kernel took 7-11 us a step at d = 8 and 12-19 at d = 16, against 26-43
+# and 29-45 for the loop; at d = 32 (26-37 against 30-48) the two overlap,
+# and at d = 48 (43-60 against 32-51) the loop is ahead. The cut stays at
+# 16: no workload runs d > 5.
 SCALAR_MAX_DIM = 16
 
 
@@ -158,14 +167,36 @@ def fresh_state(x1):
 
 def beta1_rule(h):
     """The function t -> beta1_t of h's schedule, for t >= 1. This is the
-    one place the schedules are written out: ``beta1_at``, the run kernel
-    and ``verify.beta1_sequence`` all evaluate it."""
+    one place the schedules are written out: ``beta1_at`` and
+    ``beta1_sequence``, which the run kernel reads, evaluate it."""
     b, lam = h.beta1, h.lam
     if h.schedule is Schedule.CONSTANT:
         return lambda t: b
     if h.schedule is Schedule.EXP_DECAY:
         return lambda t: b * lam ** (t - 1)
     return lambda t: b / t
+
+
+def beta1_sequence(h, T):
+    """beta_{1,t} for t = 1..T as a read-only array (entry t-1 holds step t).
+
+    Built once per (h, T) and shared: the run kernel, ``find_t0``, the
+    decomposition check and their callers read the same column."""
+    # HyperParams(beta1=-0.0) == HyperParams(beta1=0.0), but their columns
+    # differ in the sign of every zero, so the sign is part of the key
+    return _beta1_column(h, math.copysign(1.0, h.beta1), T)
+
+
+@functools.lru_cache(maxsize=8)
+def _beta1_column(h, sign, T):
+    # built from the stepper's own scalar expressions: numpy's power is not
+    # bitwise equal to Python's ** (h.beta1 * h.lam ** (ts - 1) differs in
+    # 2406 of 50500 entries at beta1 = 0.9, lam = 0.999)
+    if T < 1:
+        raise ValueError("horizon must be >= 1")
+    seq = np.fromiter(map(beta1_rule(h), range(1, T + 1)), dtype=np.float64, count=T)
+    seq.setflags(write=False)
+    return seq
 
 
 def beta1_at(t, h):
@@ -307,18 +338,134 @@ def _scored(costs, X):
     return ls
 
 
+def _rerun_step(t, gs, xs, ms, vs, vhs, b1_prev, h, box, rule):
+    """Step t from the lists of x, m, v and v_hat before it, re-run by
+    ``check_oracle`` and ``_array_step`` on a rebuilt state: the run kernel's
+    path for a step whose fused finiteness sum is not finite. Raises their
+    fault, or returns the step's x, m, v and v_hat as lists when the sum
+    merely overflowed."""
+    g = np.array(gs)
+    check_oracle(t, 0.0, g)
+    state = _array_step(
+        OptimizerState(x=np.array(xs), m=np.array(ms), v=np.array(vs), v_hat=np.array(vhs),
+                       t=t - 1, beta1_prev=b1_prev),
+        g, h, box, rule)
+    return state.x.tolist(), state.m.tolist(), state.v.tolist(), state.v_hat.tolist()
+
+
+# The run kernel, from which ``_kernel`` generates one function per (d, full).
+# Its fields: {d} the coordinate count; {x} "x0, x1, ...," and likewise {lo},
+# {up} and {g} for the box and the gradient, {m}, {v}, {vh} for the moments
+# before step t and {nm}, {nv}, {nvh} for those it computes; {zeros} sets the
+# moments to 0.0; {raw} and {maxed} are the coordinate steps without and with
+# the weight w, {total} the fused finiteness sum, {commit} the lines that
+# adopt the new moments and {keep} those that, with full, keep them.
+_KERNEL = """\
+def kernel(rule, problem, h, hist, beta1s):
+    grad_floats, costs, box = problem.grad_floats, problem.costs, problem.box
+    T = len(hist.losses)
+    alpha, beta2, eps, c2 = h.alpha, h.beta2, h.epsilon, 1.0 - h.beta2
+    sqrt, isfinite = math.sqrt, math.isfinite
+    {x} = xs = hist.iterates[0].tolist()
+    {lo} = box.lower.tolist()
+    {up} = box.upper.tolist()
+    {zeros} = 0.0
+    # the current block's rows, flat, in the order hist.store takes them
+    bufs = gbuf, xbuf, mbuf, vbuf, vhbuf = [], [], [], [], []
+    # oracled: the last step whose gradient oracle returned, where the step
+    # loop would have gone on to the loss
+    b1_prev, oracled = None, 0
+    try:
+        for start in range(0, T, _BLOCK):
+            stop = min(start + _BLOCK, T)
+            for t, b1 in zip(range(start + 1, stop + 1), beta1s[start:stop].tolist()):
+                gs = grad_floats(t, xs)
+                oracled = t
+                if len(gs) != {d}:
+                    raise ValueError("grad_floats returned %d coordinates at step %d, "
+                                     "expected {d}" % (len(gs), t))
+                {g} = gs
+                w = rule(t, b1, b1_prev)
+                c1, a = 1.0 - b1, alpha / sqrt(t)
+                if w is None:
+{raw}
+                else:
+{maxed}
+                if not isfinite({total}):
+                    ({x}), ({nm}), ({nv}), ({nvh}) = _rerun_step(
+                        t, gs, xs, [{m}], [{v}], [{vh}], b1_prev, h, box, rule)
+{commit}
+                b1_prev = b1
+                xs = [{x}]
+                gbuf += gs
+                xbuf += xs
+{keep}            hist.store(start, bufs)
+    except Exception:
+        # the step loop meets a non-finite loss at step s before anything a
+        # later step raises, whatever its type
+        hist.store(start, bufs)
+        if oracled:
+            _scored(costs, hist.iterates[:oracled])
+        raise
+"""
+
+# coordinate i of a step: its moments, then, after v_hat, its update (z is
+# the pre-clamp iterate)
+_MOMENTS = """\
+nm{i} = b1 * m{i} + c1 * g{i}
+nv{i} = beta2 * v{i} + c2 * g{i} * g{i}
+"""
+_UPDATE = """\
+den = sqrt(nvh{i}) + eps
+z{i} = x{i} - a * (nm{i} / den if den > 0.0 else 0.0)
+y = z{i} if z{i} > lo{i} else lo{i}
+x{i} = y if y < up{i} else up{i}
+"""
+
+
+@functools.lru_cache(maxsize=2 * SCALAR_MAX_DIM)
+def _kernel(d, full):
+    """The run kernel for d coordinates, keeping the moments when ``full``:
+    ``_KERNEL`` with its coordinate lines written out, compiled on first use
+    and registered with ``linecache`` so that tracebacks show its lines."""
+    def names(prefix):
+        return ", ".join(f"{prefix}{i}" for i in range(d)) + ","
+
+    def each(template, indent=20):
+        lines = "".join(template.format(i=i) for i in range(d))
+        return textwrap.indent(lines, " " * indent).rstrip("\n")
+
+    src = _KERNEL.format(
+        d=d, x=names("x"), lo=names("lo"), up=names("up"), g=names("g"), m=names("m"),
+        v=names("v"), vh=names("vh"), nm=names("nm"), nv=names("nv"), nvh=names("nvh"),
+        zeros=" = ".join(f"{q}{i}" for q in ("m", "v", "vh") for i in range(d)),
+        raw=each(_MOMENTS + "nvh{i} = nv{i}\n" + _UPDATE),
+        maxed=each(_MOMENTS + "wvh = w * vh{i}\nnvh{i} = wvh if wvh > nv{i} else nv{i}\n"
+                   + _UPDATE),
+        total=" + ".join(f"(nm{i} + nv{i} + nvh{i} + z{i})" for i in range(d)),
+        commit=each("m{i}, v{i}, vh{i} = nm{i}, nv{i}, nvh{i}\n", 16),
+        keep=textwrap.indent("".join(f"{q}buf += ({names(q)})\n" for q in ("m", "v", "vh")),
+                             " " * 16) if full else "")
+    filename = f"<adamxlab run_scalar d={d}{' full' if full else ''}>"
+    linecache.cache[filename] = (len(src), None, src.splitlines(True), filename)
+    namespace = {}
+    exec(compile(src, filename, "exec"), globals(), namespace)
+    return namespace["kernel"]
+
+
 def run_scalar(rule, problem, h, hist):
     """A whole run of ``len(hist.losses)`` steps on ``problem``, on at most
     SCALAR_MAX_DIM coordinates, from a fresh state at ``hist.iterates[0]``,
-    carried on lists of Python floats.
+    carried on Python floats by the generated kernel for (d, ``hist.full``).
 
-    Step t takes the gradient at x_t from ``problem.grad_floats``, which
-    must return d floats (ValueError otherwise), and runs coordinate by
-    coordinate, bitwise equal to ``_array_step`` on the states a run
-    reaches; a step whose fused finiteness sum is not finite is re-run on
-    a rebuilt state as the module docstring says, so a run keeps only
-    coordinate steps whose entries are all finite. Its rows go to flat
-    lists that ``hist.store`` takes ``_BLOCK`` rows at a time.
+    Step t takes beta1_t from ``beta1_sequence(h, T)`` and the gradient at
+    x_t from ``problem.grad_floats``, which must return d floats
+    (ValueError otherwise), and runs coordinate by coordinate, bitwise equal
+    to ``_array_step`` on the states a run reaches; a step whose fused
+    finiteness sum is not finite is re-run on a rebuilt state as the module
+    docstring says, so a run keeps only coordinate steps whose entries are
+    all finite. Its rows go to flat lists that ``hist.store`` takes
+    ``_BLOCK`` rows at a time.
 
     The losses f_t(x_t) are scored after the steps, by one
     ``problem.costs(T, X)`` call on the iterate rows. The step loop checks
@@ -327,73 +474,9 @@ def run_scalar(rule, problem, h, hist):
     first, and a non-finite one raises the oracle's fault at its own step
     instead. Its only output is ``hist``.
     """
-    grad_floats, costs, box = problem.grad_floats, problem.costs, problem.box
     T, d = hist.grads.shape
-    xs, lows, ups = hist.iterates[0].tolist(), box.lower.tolist(), box.upper.tolist()
-    ms, vs, vhs = [0.0] * d, [0.0] * d, [0.0] * d
-    alpha, beta2, eps = h.alpha, h.beta2, h.epsilon
-    c2 = 1.0 - beta2
-    sqrt, isfinite = math.sqrt, math.isfinite
-    # the current block's rows, flat, in the order ``hist.store`` takes them
-    bufs = gbuf, xbuf, mbuf, vbuf, vhbuf = [], [], [], [], []
-    full = hist.full
-
-    # oracled: the last step whose gradient oracle returned, where the step
-    # loop would have gone on to the loss
-    beta1, b1_prev, oracled = beta1_rule(h), None, 0
-    try:
-        for start in range(0, T, _BLOCK):
-            for t in range(start + 1, min(start + _BLOCK, T) + 1):
-                gs = grad_floats(t, xs)
-                oracled = t
-                if len(gs) != d:
-                    raise ValueError(f"grad_floats returned {len(gs)} coordinates "
-                                     f"at step {t}, expected {d}")
-                b1 = beta1(t)
-                w = rule(t, b1, b1_prev)
-                c1, a = 1.0 - b1, alpha / sqrt(t)
-                # the step coordinate by coordinate, and the fused finiteness
-                # sum of m + v + v_hat + z
-                nxs, nms, nvs, nvhs = [], [], [], []
-                total = 0.0
-                for xp, mp, vp, vhp, gi, lo, up in zip(xs, ms, vs, vhs, gs, lows, ups):
-                    m = b1 * mp + c1 * gi
-                    v = beta2 * vp + c2 * gi * gi
-                    vh = v if w is None or not w * vhp > v else w * vhp
-                    den = sqrt(vh) + eps
-                    z = xp - a * (m / den if den > 0.0 else 0.0)
-                    total += m + v + vh + z
-                    y = z if z > lo else lo
-                    nxs.append(y if y < up else up)
-                    nms.append(m)
-                    nvs.append(v)
-                    nvhs.append(vh)
-                if not isfinite(total):
-                    g = np.array(gs)
-                    check_oracle(t, 0.0, g)
-                    state = _array_step(
-                        OptimizerState(x=np.array(xs), m=np.array(ms), v=np.array(vs),
-                                       v_hat=np.array(vhs), t=t - 1, beta1_prev=b1_prev),
-                        g, h, box, rule)
-                    nxs, nms, nvs, nvhs = (state.x.tolist(), state.m.tolist(),
-                                           state.v.tolist(), state.v_hat.tolist())
-                xs, ms, vs, vhs = nxs, nms, nvs, nvhs
-                b1_prev = b1
-                gbuf += gs
-                xbuf += xs
-                if full:
-                    mbuf += ms
-                    vbuf += vs
-                    vhbuf += vhs
-            hist.store(start, bufs)
-    except Exception:
-        # the step loop meets a non-finite loss at step s before anything a
-        # later step raises, whatever its type
-        hist.store(start, bufs)
-        if oracled:
-            _scored(costs, hist.iterates[:oracled])
-        raise
-    hist.losses[:] = _scored(costs, hist.iterates[:T])
+    _kernel(d, hist.full)(rule, problem, h, hist, beta1_sequence(h, T))
+    hist.losses[:] = _scored(problem.costs, hist.iterates[:T])
 
 
 def step_adam(state, g, h, box):

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import BoundUndefined, VerificationFailure
 from .harness import quadratic_problem, run_oco, synthetic_problem
-from .optimizers import HyperParams, Schedule, beta1_rule
+from .optimizers import HyperParams, Schedule, beta1_sequence
 
 # Frozen values for the three-step sign-flip run (x1 = 1, comparator -1,
 # alpha = 0.001, beta1 = 0.9 with exp decay lambda = 0.001, beta2 = 0.999).
@@ -158,16 +158,6 @@ def check_counterexample():
         _report("counterexample", "sign_flip", d1 > 0.0 > d2, d1, d2, None,
                 note="squared distance to the comparator moves down, then up"),
     ]
-
-
-def beta1_sequence(h, T):
-    """beta_{1,t} for t = 1..T as an array (entry t-1 holds step t)."""
-    # built from the stepper's own scalar expressions: numpy's power is not
-    # bitwise equal to Python's ** (h.beta1 * h.lam ** (ts - 1) differs in
-    # 2406 of 50500 entries at beta1 = 0.9, lam = 0.999)
-    if T < 1:
-        raise ValueError("horizon must be >= 1")
-    return np.fromiter(map(beta1_rule(h), range(1, T + 1)), dtype=np.float64, count=T)
 
 
 def _beta1_seq(beta1_seq, T):

@@ -64,6 +64,17 @@ def test_run_propagates_numeric_fault(capsys):
     assert "numeric fault at step 1" in err
 
 
+@pytest.mark.parametrize("problem", [["synthetic"], ["quadratic", "--dim", "20"]])
+def test_numeric_fault_prints_one_stderr_line(problem):
+    # d = 1 takes the run kernel, d = 20 the step loop; numpy's overflow and
+    # reduce warnings from the faulting step stay off stderr
+    proc = subprocess.run([sys.executable, "-m", "adamxlab", "run", "--problem", *problem,
+                           "--alpha", "1e308", "--steps", "3"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3
+    assert proc.stderr.splitlines() == ["numeric fault at step 1: non-finite x at step 1"]
+
+
 def test_run_rejects_infinite_alpha(capsys):
     # used to pass validation and fail only at step 1 as a numeric fault
     code, out, err = run_cli(["run", "--alpha", "inf", "--steps", "2"], capsys)

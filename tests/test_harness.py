@@ -658,6 +658,18 @@ def test_named_run_is_bitwise_the_step_loop(case):
     assert isinstance(got, list)
 
 
+@pytest.mark.parametrize("d", range(1, SCALAR_MAX_DIM + 1))
+def test_every_generated_kernel_is_bitwise_the_step_loop(d):
+    # the property draws d, so it may miss one of the generated kernels; on
+    # a box that clamps, every rule and both settings of full, over a block edge
+    box = FeasibleBox(np.full(d, -0.25), np.linspace(-0.2, 0.5, d))
+    problem = quadratic_problem(d, d, box=box)
+    for name in sorted(STEPPERS):
+        for full in (False, True):
+            assert isinstance(run_both(problem, name, H_REF, _BLOCK + 3, record_full=full),
+                              list)
+
+
 def oracle_problem(d, grad, cost=lambda t, x: 0.0):
     box = FeasibleBox.cube(-1.0, 1.0, d)
 
@@ -747,8 +759,7 @@ def test_named_run_scores_no_loss_where_the_gradient_raised(k):
 @pytest.mark.parametrize("k", [1, LATE])
 @pytest.mark.parametrize("extra", [-1, 1], ids=["too-short", "too-long"])
 def test_run_kernel_rejects_a_float_oracle_of_the_wrong_length(extra, k):
-    # the kernel walks the coordinates with zip, which would stop at the
-    # shorter list
+    # checked before the kernel unpacks the list into one float per coordinate
     for d in (1, 3):
         n = d + extra
 

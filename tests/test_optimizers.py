@@ -8,6 +8,10 @@ from the recursions and frozen before being compared to the code.
 """
 
 import math
+import subprocess
+import sys
+import traceback
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -393,3 +397,34 @@ def test_named_run_builds_no_state_per_step(monkeypatch):
     # the counter sees the step loop's states: the fresh one and one per step
     run_oco(quadratic_problem(1, SCALAR_MAX_DIM), step_adamx, H_REF, T)
     assert len(built) == T + 1
+
+
+def test_importing_the_package_generates_no_kernel():
+    probe = ("import adamxlab\n"
+             "from adamxlab import optimizers\n"
+             "print(optimizers._kernel.cache_info().currsize,"
+             " optimizers._beta1_column.cache_info().currsize)\n")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0"]
+
+
+def test_a_second_run_reuses_its_kernel():
+    run_oco(quadratic_problem(2, 7), "adamx", H_REF, 5, record_full=True)
+    before = optimizers._kernel.cache_info()
+    run_oco(quadratic_problem(3, 7), "amsgrad", H_REF, 9, record_full=True)
+    after = optimizers._kernel.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
+def test_a_traceback_through_the_kernel_shows_its_source():
+    def grad_floats(t, xs):
+        raise RuntimeError("oracle failed")
+
+    p = replace(quadratic_problem(0, 3), grad_floats=grad_floats)
+    with pytest.raises(RuntimeError, match="oracle failed") as info:
+        run_oco(p, "adamx", H_REF, 4, record_full=True)
+    text = "".join(traceback.format_exception(info.value))
+    assert 'File "<adamxlab run_scalar d=3 full>", line ' in text
+    assert "    gs = grad_floats(t, xs)\n" in text

@@ -30,7 +30,7 @@ from adamxlab import (BoundContext, BoundUndefined, FeasibleBox, HyperParams,
                       quadratic_problem, reproduce_counterexample, run_oco,
                       run_suite, synthetic_problem)
 from adamxlab import harness, verify
-from adamxlab.optimizers import run_scalar
+from adamxlab.optimizers import beta1_rule, run_scalar
 from adamxlab.verify import SUITES, example_hyperparams
 
 H_EXP = example_hyperparams()
@@ -213,6 +213,27 @@ def test_beta1_sequence_matches_schedule():
         seq, np.array([0.9, 0.9 * 0.001, 0.9 * 0.001 ** 2, 0.9 * 0.001 ** 3]))
     seq_inv = beta1_sequence(H_INV, 3)
     np.testing.assert_array_equal(seq_inv, np.array([0.9, 0.45, 0.3]))
+
+
+@pytest.mark.parametrize("schedule", list(Schedule))
+def test_beta1_sequence_is_one_read_only_column_per_h_and_T(schedule):
+    h = HyperParams(beta1=0.9, lam=0.999, schedule=schedule)
+    seq = beta1_sequence(h, 600)
+    assert beta1_sequence(replace(h), 600) is seq
+    assert beta1_sequence(h, 601) is not seq
+    with pytest.raises(ValueError, match="read-only"):
+        seq[0] = 0.5
+    fresh = np.fromiter(map(beta1_rule(h), range(1, 601)), dtype=np.float64)
+    assert [float(b).hex() for b in seq] == [float(b).hex() for b in fresh]
+
+
+def test_beta1_sequence_keeps_the_sign_of_a_zero_beta1():
+    # the two HyperParams compare equal, so the column memo must tell them apart
+    for schedule in Schedule:
+        h = HyperParams(beta1=0.0, schedule=schedule)
+        assert beta1_sequence(h, 3).tolist() == [0.0] * 3
+        signs = np.signbit(beta1_sequence(replace(h, beta1=-0.0), 3))
+        assert signs.all() and not np.signbit(beta1_sequence(h, 3)).any()
 
 
 # ------------------------------------------------------------------- t0
