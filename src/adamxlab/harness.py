@@ -16,6 +16,7 @@ not on the access order, so any f_t can be evaluated at random access and
 identical configurations produce bit-identical traces.
 """
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -26,8 +27,9 @@ from .numerics import FeasibleBox, as_vector, project_box
 from .optimizers import (RULES, SCALAR_MAX_DIM, History, check_oracle, fresh_state,
                          resolve_stepper, run_scalar)
 
-# Center rows a quadratic's float oracle converts at a time. It divides
-# keyed.BLOCK, so a chunk never straddles two blocks of the table.
+# Steps a float oracle prepares at a time: the quadratic's centers as
+# floats, the logistic problem's minibatch rows. It divides keyed.BLOCK, so
+# a chunk never straddles two blocks of a table.
 _CHUNK = 256
 
 
@@ -139,7 +141,7 @@ def quadratic_problem(seed, d, box=None):
             lo_t = t - t % _CHUNK
             hi_t = lo_t + _CHUNK
             chunk = centers.rows(lo_t, hi_t).tolist()
-        return [x - c for x, c in zip(xs, chunk[t - lo_t])]
+        return list(map(operator.sub, xs, chunk[t - lo_t]))
 
     # vecdot reproduces np.dot row by row; (D * D).sum(1) and einsum do not
     def costs(T, x):
@@ -167,18 +169,20 @@ def toy_training_problem(seed=0):
     sequence. The minibatch indices are filled 4096 t at a time on first
     demand (see ``keyed``) and kept per problem, so cost, grad and the
     comparator share each draw and see the same rows in any access order.
-    Gradients are analytic; ``grad_floats`` is ``grad`` on the point as an
-    array, converted with ``tolist``. The per-sample gradient magnitude never
+    Gradients are analytic; ``grad_floats`` gathers the minibatch rows of
+    ``_CHUNK`` steps at a time and applies ``grad``'s formula to the point as
+    an array, converted with ``tolist``. The per-sample gradient magnitude never
     exceeds the largest feature magnitude (the sigmoid factor is below
     1), which gives g_inf from the data alone. scipy is imported
     only when a gradient or a comparator is first computed, so building
     the problem, or any other problem, does not load it.
     """
     rng = np.random.default_rng(seed)
-    xs = np.vstack([rng.normal(-1.0, 1.0, size=(100, 2)), rng.normal(1.0, 1.0, size=(100, 2))])
+    features = np.vstack([rng.normal(-1.0, 1.0, size=(100, 2)),
+                          rng.normal(1.0, 1.0, size=(100, 2))])
     ys = np.concatenate([-np.ones(100), np.ones(100)])
     box = FeasibleBox.cube(-10.0, 10.0, 3)
-    g_inf = max(1.0, float(np.max(np.abs(xs))))
+    g_inf = max(1.0, float(np.max(np.abs(features))))
     indices = keyed.KeyedTable(lambda ts: keyed.integers(seed, ts, 200, 16))
 
     def margins(theta, xb, yb):
@@ -202,31 +206,42 @@ def toy_training_problem(seed=0):
 
     def cost(t, x):
         idx = indices.row(t)
-        return loss(margins(x, xs[idx], ys[idx]))
+        return loss(margins(x, features[idx], ys[idx]))
 
     def grad(t, x):
         idx = indices.row(t)
-        xb, yb = xs[idx], ys[idx]
+        xb, yb = features[idx], ys[idx]
         return gradient(margins(x, xb, yb), xb, yb)
 
-    def grad_floats(t, xs):
-        return grad(t, np.array(xs)).tolist()
+    # the minibatch rows of steps lo_t .. hi_t - 1: one aligned chunk,
+    # gathered at once and dropped when the run leaves it
+    lo_t, hi_t, xbs, ybs = 0, 0, None, None
+
+    def grad_floats(t, theta):
+        nonlocal lo_t, hi_t, xbs, ybs
+        if not lo_t <= t < hi_t:
+            lo_t = t - t % _CHUNK
+            hi_t = lo_t + _CHUNK
+            idx = indices.rows(lo_t, hi_t)
+            xbs, ybs = features[idx], ys[idx]
+        xb, yb = xbs[t - lo_t], ybs[t - lo_t]
+        return gradient(margins(np.array(theta), xb, yb), xb, yb).tolist()
 
     # one point or a stack of T: the stacked (batch, 2) @ (2, 1) products
     # round as cost's (batch, 2) @ (2,) does, where np.vecdot does not
     def costs(T, x):
         idx = indices.rows(1, T + 1)
         x = np.broadcast_to(x, (T, 3))
-        m = ys[idx] * ((xs[idx] @ x[:, :2, None])[..., 0] + x[:, 2:3])
+        m = ys[idx] * ((features[idx] @ x[:, :2, None])[..., 0] + x[:, 2:3])
         return np.logaddexp(0.0, -m).sum(axis=1) / 16
 
     def full_objective(theta):
-        return loss(margins(theta, xs, ys))
+        return loss(margins(theta, features, ys))
 
     def comparator_for(T):
         from scipy.optimize import minimize
         idx = indices.rows(1, T + 1).reshape(-1)
-        xb, yb = xs[idx], ys[idx]
+        xb, yb = features[idx], ys[idx]
 
         def objective(theta):
             m = margins(theta, xb, yb)

@@ -16,10 +16,13 @@ v_t into the denominator surrogate v_hat_t:
   which keeps sqrt(t * v_hat_t)/(1-beta1_t) nondecreasing for any
   decaying schedule.
 
-A rule maps (t, beta1_t, beta1_{t-1}) to the weight w of v_hat_{t-1} in
-max(w * v_hat_{t-1}, v_t), or to None when v_hat_t is v_t; amsgrad's
-w = 1.0 leaves v_hat_{t-1} bitwise unchanged. beta1_t comes from
-``beta1_rule``, the only place the schedules are written out.
+A rule maps (t, h) to the weight w_t of v_hat_{t-1} in
+max(w_t * v_hat_{t-1}, v_t): 1.0 for amsgrad, which leaves v_hat_{t-1}
+bitwise unchanged, and 0.0 where v_hat_t is v_t (adam, and adamx at
+t = 1). beta1_t comes from ``beta1_rule``, the only place the schedules
+are written out. Neither depends on x, so a run reads both from
+read-only columns, ``beta1_sequence(h, T)`` and
+``weight_sequence(rule, h, T)``.
 
 The step is written twice. ``_array_step`` runs it on numpy arrays:
 ``step_adam``, ``step_amsgrad`` and ``step_adamx`` bind it to one rule
@@ -34,18 +37,19 @@ most ``SCALAR_MAX_DIM`` = 16 coordinates. It runs the run kernel for the
 problem's d: straight-line code generated from one template, ``_KERNEL``,
 on the first run at that d (and again for ``full`` histories), and cached.
 There x, m, v and v_hat are local floats x0 .. x{d-1}, m0 .., and a step
-is the coordinate steps written out one after another, with the test of
-whether the rule returned a weight made once per step; it builds no list
-per coordinate and no ``OptimizerState``. beta1_t comes from
-``beta1_sequence(h, T)``, a read-only column built once per (h, T) and
-shared with the bound and lemma checks. A step makes one call outside
+is the coordinate steps written out one after another; it builds no list
+per coordinate and no ``OptimizerState``. Everything a step needs that
+does not depend on x comes from columns: beta1_t from
+``beta1_sequence(h, T)``, built once per (h, T) and shared with the bound
+and lemma checks, w_t from ``weight_sequence``, and 1 - beta1_t and
+alpha_t from arrays built per block of rows. A step makes one call outside
 the kernel, to the float gradient oracle ``grad_floats`` that every
 problem brings, which takes and returns lists of floats, so the kernel
-builds no array. The rows a run keeps are stored by
-``History``, the kernel's a block at a time, and the losses f_t(x_t) are
-scored after the run by one ``costs(T, X)`` call on the iterates. A step
-function (perfbench's traced passes hand ``run_oco`` a wrapped one) or a
-wider problem runs the step loop: one ``grad``, ``cost`` and step call per
+builds no array. The rows a run keeps are stored by ``History``, the
+kernel's a block at a time, and the losses f_t(x_t) are scored after the
+run by one ``costs(T, X)`` call on the iterates. A step function
+(perfbench's traced passes hand ``run_oco`` a wrapped one) or a wider
+problem runs the step loop: one ``grad``, ``cost`` and step call per
 round. It is the one place that checks and coerces gradients that are
 off-shape or not float64; ``SCALAR_MAX_DIM`` says why the cut sits where
 it does.
@@ -57,7 +61,8 @@ in the same order (for instance ((1 - beta2) * g) * g). The kernel keeps
 numpy's tie rule for the maximum and the clamp, which return their
 second argument (deciding the sign of a zero, as for x_1 = -0.0 on a
 lower bound of 0.0), and needs no other of numpy's rules: in a run from a
-fresh start v and v_hat are finite and at least +0.0, and a NaN or
+fresh start v and v_hat are finite and at least +0.0, so a weight of 0.0
+gives max(0.0 * v_hat, v) = v bitwise, and a NaN or
 infinity makes the step's fused finiteness sum non-finite. Such a step is
 re-run by ``check_oracle`` and ``_array_step``, which raise the step
 functions' fault or, if the sum merely overflowed, return the same step.
@@ -71,10 +76,10 @@ or where g_t^2 underflows, as for g_t = 1e-170.
 """
 
 import functools
+import itertools
 import linecache
 import math
 import textwrap
-from array import array
 from dataclasses import dataclass
 from enum import Enum
 
@@ -143,18 +148,13 @@ class HyperParams:
 
 @dataclass
 class OptimizerState:
-    """Value-type snapshot after ``t`` completed steps.
-
-    ``beta1_prev`` records the beta1_t used by the most recent step; the
-    AdamX rescaling needs it from step 2 on. A fresh state carries None.
-    """
+    """Value-type snapshot after ``t`` completed steps."""
 
     x: np.ndarray
     m: np.ndarray
     v: np.ndarray
     v_hat: np.ndarray
     t: int = 0
-    beta1_prev: float | None = None
 
 
 def fresh_state(x1):
@@ -162,7 +162,7 @@ def fresh_state(x1):
     x1 = as_vector(x1)
     zeros = np.zeros_like(x1)
     return OptimizerState(x=x1.copy(), m=zeros.copy(), v=zeros.copy(),
-                          v_hat=zeros.copy(), t=0, beta1_prev=None)
+                          v_hat=zeros.copy(), t=0)
 
 
 def beta1_rule(h):
@@ -211,25 +211,51 @@ def alpha_at(t, h):
     return h.alpha / math.sqrt(t)
 
 
-# v_hat rules: from the step index t, beta1_t and beta1_{t-1} (None at a
-# fresh state), the weight of v_hat_{t-1} inside the maximum, or None for v_t
+# v_hat rules: from the step index t and h, the weight w_t of v_hat_{t-1}
+# inside the maximum, 0.0 where v_hat_t is v_t
 
-def _raw(t, b1, b1_prev):
-    return None
+def _raw(t, h):
+    return 0.0
 
 
-def _running_max(t, b1, b1_prev):
+def _running_max(t, h):
     return 1.0
 
 
-def _rescaled_max(t, b1, b1_prev):
+def _rescaled_max(t, h):
     if t == 1:
-        return None
-    if b1_prev is None:
-        raise ValueError("state lacks beta1_prev; advance it from a fresh state")
-    if b1_prev >= 1:
-        raise ValueError("beta1 of the previous step must be below 1")
+        return 0.0
+    b1 = beta1_rule(h)
+    return _rescaled_weight(b1(t), b1(t - 1))
+
+
+def _rescaled_weight(b1, b1_prev):
     return (1.0 - b1) ** 2 / (1.0 - b1_prev) ** 2
+
+
+def weight_sequence(rule, h, T):
+    """w_t of ``rule`` for t = 1..T as a read-only array (entry t-1 holds
+    step t). adam's and amsgrad's weight is one value broadcast over the
+    horizon, which takes no memory; adamx's column is built once per (h, T)."""
+    if rule is _rescaled_max:
+        return _rescaled_column(h, T)
+    return np.broadcast_to(rule(1, h), (T,))
+
+
+@functools.lru_cache(maxsize=8)
+def _rescaled_column(h, T):
+    # built from the rule's own scalar expression on Python floats, not from
+    # numpy squares: Python's x ** 2 (libm pow) is not always x * x (they
+    # differ on 1701 of 2e6 uniform x in [0, 1)), and a column squared by
+    # numpy differs from _rescaled_max in 66 entries over the schedules,
+    # beta1 in {0, 0.5, 0.9, 0.99} and lam in {0.001, 0.5, 0.999} at
+    # T = 50500. The sign of a zero beta1 does not reach w, so (h, T) is the
+    # whole key.
+    b1s = memoryview(beta1_sequence(h, T))
+    w = np.fromiter(itertools.chain((0.0,), map(_rescaled_weight, b1s[1:], b1s[:-1])),
+                    dtype=np.float64, count=T)
+    w.setflags(write=False)
+    return w
 
 
 def _oracle_fault(t):
@@ -262,10 +288,11 @@ def _array_step(state, g, h, box, rule):
         raise ValueError(f"dimension mismatch: expected {box.dim}, got {x.shape[0]}")
     t = state.t + 1
     b1 = beta1_at(t, h)
-    w = rule(t, b1, state.beta1_prev)
+    w = rule(t, h)
     m = b1 * state.m + (1.0 - b1) * g
     v = h.beta2 * state.v + (1.0 - h.beta2) * g * g
-    v_hat = v.copy() if w is None else np.maximum(w * state.v_hat, v)
+    # a state passed in may hold any v_hat, so w = 0.0 is not taken as a maximum
+    v_hat = v.copy() if w == 0.0 else np.maximum(w * state.v_hat, v)
     denom = np.sqrt(v_hat) + h.epsilon
     update = np.zeros_like(m)
     np.divide(m, denom, out=update, where=denom > 0.0)
@@ -276,10 +303,10 @@ def _array_step(state, g, h, box, rule):
             if not np.all(np.isfinite(arr)):
                 raise NumericFault(f"non-finite {name} at step {t}", step=t)
     x = np.minimum(np.maximum(z, box.lower), box.upper)
-    return OptimizerState(x=x, m=m, v=v, v_hat=v_hat, t=t, beta1_prev=b1)
+    return OptimizerState(x=x, m=m, v=v, v_hat=v_hat, t=t)
 
 
-# Rows a run kernel keeps in Python lists before one store per history.
+# Rows a run kernel keeps in one Python list before one store.
 # Blocks of 4096 rows raised the corpus benchmark's peak memory from 42.3
 # to 46.8 MB (+11 %); blocks of 256 rows raise it by under 1 %.
 _BLOCK = 256
@@ -302,18 +329,20 @@ class History:
         self.iterates = np.empty((T + 1, d))
         self.iterates[0] = x1
         self.m, self.v, self.v_hat = (np.empty((T, d)) if full else None for _ in range(3))
-        # flat float64 views, in the order of ``store``'s lists; the iterate
-        # rows a step adds are x_2..x_{T+1}
+        # the arrays a row of ``store`` fills, in its order; the iterate rows
+        # a step adds are x_2..x_{T+1}
         arrays = (self.grads, self.iterates[1:], self.m, self.v, self.v_hat)
-        self._views = [memoryview(a).cast("B").cast("d") for a in arrays if a is not None]
+        self._fields = [a for a in arrays if a is not None]
 
-    def store(self, start, bufs):
-        """Store steps start + 1, ... from flat lists of floats, in the order
-        gradients, iterates, m, v, v_hat (as kept), and empty the lists."""
-        at = start * self.grads.shape[1]
-        for view, buf in zip(self._views, bufs):
-            view[at:at + len(buf)] = array("d", buf)
-            buf.clear()
+    def store(self, start, buf):
+        """Store steps start + 1, ... from the flat list of floats ``buf``,
+        which holds one row per step: its gradient, its iterate x_{t+1} and,
+        when ``full``, its m, v and v_hat, d floats each. Empties ``buf``."""
+        rows = np.fromiter(buf, dtype=np.float64, count=len(buf))
+        rows = rows.reshape(-1, len(self._fields), self.grads.shape[1])
+        for i, field in enumerate(self._fields):
+            field[start:start + len(rows)] = rows[:, i]
+        buf.clear()
 
     def stepped(self, t, loss, g, state):
         """The step loop's step-t loss and gradient, the iterate x_{t+1} and,
@@ -338,7 +367,7 @@ def _scored(costs, X):
     return ls
 
 
-def _rerun_step(t, gs, xs, ms, vs, vhs, b1_prev, h, box, rule):
+def _rerun_step(t, gs, xs, ms, vs, vhs, h, box, rule):
     """Step t from the lists of x, m, v and v_hat before it, re-run by
     ``check_oracle`` and ``_array_step`` on a rebuilt state: the run kernel's
     path for a step whose fused finiteness sum is not finite. Raises their
@@ -348,74 +377,77 @@ def _rerun_step(t, gs, xs, ms, vs, vhs, b1_prev, h, box, rule):
     check_oracle(t, 0.0, g)
     state = _array_step(
         OptimizerState(x=np.array(xs), m=np.array(ms), v=np.array(vs), v_hat=np.array(vhs),
-                       t=t - 1, beta1_prev=b1_prev),
+                       t=t - 1),
         g, h, box, rule)
     return state.x.tolist(), state.m.tolist(), state.v.tolist(), state.v_hat.tolist()
+
+
+def _step_columns(alpha, beta1s, weights, start, stop):
+    """beta1_t, 1 - beta1_t, alpha_t and w_t for t = start + 1 .. stop as
+    lists of floats: the part of a block of steps that does not depend on x.
+    numpy's - and / on float64 and its sqrt round as Python's do."""
+    b1s = beta1s[start:stop]
+    return (b1s.tolist(), (1.0 - b1s).tolist(),
+            (alpha / np.sqrt(np.arange(start + 1, stop + 1))).tolist(),
+            weights[start:stop].tolist())
 
 
 # The run kernel, from which ``_kernel`` generates one function per (d, full).
 # Its fields: {d} the coordinate count; {x} "x0, x1, ...," and likewise {lo},
 # {up} and {g} for the box and the gradient, {m}, {v}, {vh} for the moments
 # before step t and {nm}, {nv}, {nvh} for those it computes; {zeros} sets the
-# moments to 0.0; {raw} and {maxed} are the coordinate steps without and with
-# the weight w, {total} the fused finiteness sum, {commit} the lines that
-# adopt the new moments and {keep} those that, with full, keep them.
+# moments to 0.0; {step} is the coordinate steps, {total} the fused
+# finiteness sum, {commit} the lines that adopt the new moments and {row} the
+# history row a step appends.
 _KERNEL = """\
-def kernel(rule, problem, h, hist, beta1s):
+def kernel(rule, problem, h, hist, beta1s, weights):
     grad_floats, costs, box = problem.grad_floats, problem.costs, problem.box
     T = len(hist.losses)
-    alpha, beta2, eps, c2 = h.alpha, h.beta2, h.epsilon, 1.0 - h.beta2
+    beta2, eps, c2 = h.beta2, h.epsilon, 1.0 - h.beta2
     sqrt, isfinite = math.sqrt, math.isfinite
     {x} = xs = hist.iterates[0].tolist()
     {lo} = box.lower.tolist()
     {up} = box.upper.tolist()
     {zeros} = 0.0
-    # the current block's rows, flat, in the order hist.store takes them
-    bufs = gbuf, xbuf, mbuf, vbuf, vhbuf = [], [], [], [], []
+    # the current block's rows, flat, as hist.store takes them
+    buf = []
     # oracled: the last step whose gradient oracle returned, where the step
     # loop would have gone on to the loss
-    b1_prev, oracled = None, 0
+    oracled = 0
     try:
         for start in range(0, T, _BLOCK):
             stop = min(start + _BLOCK, T)
-            for t, b1 in zip(range(start + 1, stop + 1), beta1s[start:stop].tolist()):
+            for t, b1, c1, a, w in zip(range(start + 1, stop + 1),
+                                       *_step_columns(h.alpha, beta1s, weights, start, stop)):
                 gs = grad_floats(t, xs)
                 oracled = t
                 if len(gs) != {d}:
                     raise ValueError("grad_floats returned %d coordinates at step %d, "
                                      "expected {d}" % (len(gs), t))
                 {g} = gs
-                w = rule(t, b1, b1_prev)
-                c1, a = 1.0 - b1, alpha / sqrt(t)
-                if w is None:
-{raw}
-                else:
-{maxed}
+{step}
                 if not isfinite({total}):
                     ({x}), ({nm}), ({nv}), ({nvh}) = _rerun_step(
-                        t, gs, xs, [{m}], [{v}], [{vh}], b1_prev, h, box, rule)
+                        t, gs, xs, [{m}], [{v}], [{vh}], h, box, rule)
 {commit}
-                b1_prev = b1
                 xs = [{x}]
-                gbuf += gs
-                xbuf += xs
-{keep}            hist.store(start, bufs)
+                buf += ({row})
+            hist.store(start, buf)
     except Exception:
         # the step loop meets a non-finite loss at step s before anything a
         # later step raises, whatever its type
-        hist.store(start, bufs)
+        hist.store(start, buf)
         if oracled:
             _scored(costs, hist.iterates[:oracled])
         raise
 """
 
-# coordinate i of a step: its moments, then, after v_hat, its update (z is
-# the pre-clamp iterate)
-_MOMENTS = """\
+# coordinate i of a step (z is the pre-clamp iterate)
+_COORDINATE = """\
 nm{i} = b1 * m{i} + c1 * g{i}
 nv{i} = beta2 * v{i} + c2 * g{i} * g{i}
-"""
-_UPDATE = """\
+wvh = w * vh{i}
+nvh{i} = wvh if wvh > nv{i} else nv{i}
 den = sqrt(nvh{i}) + eps
 z{i} = x{i} - a * (nm{i} / den if den > 0.0 else 0.0)
 y = z{i} if z{i} > lo{i} else lo{i}
@@ -431,7 +463,7 @@ def _kernel(d, full):
     def names(prefix):
         return ", ".join(f"{prefix}{i}" for i in range(d)) + ","
 
-    def each(template, indent=20):
+    def each(template, indent=16):
         lines = "".join(template.format(i=i) for i in range(d))
         return textwrap.indent(lines, " " * indent).rstrip("\n")
 
@@ -439,13 +471,10 @@ def _kernel(d, full):
         d=d, x=names("x"), lo=names("lo"), up=names("up"), g=names("g"), m=names("m"),
         v=names("v"), vh=names("vh"), nm=names("nm"), nv=names("nv"), nvh=names("nvh"),
         zeros=" = ".join(f"{q}{i}" for q in ("m", "v", "vh") for i in range(d)),
-        raw=each(_MOMENTS + "nvh{i} = nv{i}\n" + _UPDATE),
-        maxed=each(_MOMENTS + "wvh = w * vh{i}\nnvh{i} = wvh if wvh > nv{i} else nv{i}\n"
-                   + _UPDATE),
+        step=each(_COORDINATE),
         total=" + ".join(f"(nm{i} + nv{i} + nvh{i} + z{i})" for i in range(d)),
-        commit=each("m{i}, v{i}, vh{i} = nm{i}, nv{i}, nvh{i}\n", 16),
-        keep=textwrap.indent("".join(f"{q}buf += ({names(q)})\n" for q in ("m", "v", "vh")),
-                             " " * 16) if full else "")
+        commit=each("m{i}, v{i}, vh{i} = nm{i}, nv{i}, nvh{i}\n"),
+        row=" ".join(names(q) for q in ("g", "x", "m", "v", "vh")[:5 if full else 2]))
     filename = f"<adamxlab run_scalar d={d}{' full' if full else ''}>"
     linecache.cache[filename] = (len(src), None, src.splitlines(True), filename)
     namespace = {}
@@ -458,14 +487,15 @@ def run_scalar(rule, problem, h, hist):
     SCALAR_MAX_DIM coordinates, from a fresh state at ``hist.iterates[0]``,
     carried on Python floats by the generated kernel for (d, ``hist.full``).
 
-    Step t takes beta1_t from ``beta1_sequence(h, T)`` and the gradient at
-    x_t from ``problem.grad_floats``, which must return d floats
-    (ValueError otherwise), and runs coordinate by coordinate, bitwise equal
-    to ``_array_step`` on the states a run reaches; a step whose fused
+    Step t takes beta1_t from ``beta1_sequence(h, T)``, w_t from
+    ``weight_sequence(rule, h, T)`` and the gradient at x_t from
+    ``problem.grad_floats``, which must return d floats (ValueError
+    otherwise), and runs coordinate by coordinate, bitwise equal to
+    ``_array_step`` on the states a run reaches; a step whose fused
     finiteness sum is not finite is re-run on a rebuilt state as the module
     docstring says, so a run keeps only coordinate steps whose entries are
-    all finite. Its rows go to flat lists that ``hist.store`` takes
-    ``_BLOCK`` rows at a time.
+    all finite. Each step appends its row to one flat list that
+    ``hist.store`` takes ``_BLOCK`` rows at a time.
 
     The losses f_t(x_t) are scored after the steps, by one
     ``problem.costs(T, X)`` call on the iterate rows. The step loop checks
@@ -475,7 +505,8 @@ def run_scalar(rule, problem, h, hist):
     instead. Its only output is ``hist``.
     """
     T, d = hist.grads.shape
-    _kernel(d, hist.full)(rule, problem, h, hist, beta1_sequence(h, T))
+    _kernel(d, hist.full)(rule, problem, h, hist, beta1_sequence(h, T),
+                          weight_sequence(rule, h, T))
     hist.losses[:] = _scored(problem.costs, hist.iterates[:T])
 
 

@@ -251,9 +251,11 @@ def float_oracle_cases(draw):
     zero bounds, at a point with signed zero coordinates, or the logistic
     problem at signed zeros and the corners of its box; and the chunk
     edges, which hold the keyed tables' 4096-row block edge, visited
-    forwards, backwards or in random order."""
+    forwards, backwards or in random order, or every step from a t > 1
+    through the first chunk edge, as a run that enters it mid-chunk."""
     ts = draw(st.one_of(st.just(CHUNK_EDGES), st.just(CHUNK_EDGES[::-1]),
-                        st.permutations(CHUNK_EDGES)))
+                        st.permutations(CHUNK_EDGES),
+                        st.integers(2, 255).map(lambda s: list(range(s, 258)))))
     if draw(st.integers(0, 2)) == 0:
         xs = draw(st.lists(st.one_of(st.sampled_from([0.0, -0.0, -10.0, 10.0]),
                                      st.floats(-10.0, 10.0)), min_size=3, max_size=3))

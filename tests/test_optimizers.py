@@ -7,6 +7,8 @@ exponential schedule. All decimals in comments were computed by hand
 from the recursions and frozen before being compared to the code.
 """
 
+import dataclasses
+import linecache
 import math
 import subprocess
 import sys
@@ -21,8 +23,8 @@ from adamxlab import (FeasibleBox, HyperParams, NumericFault, Schedule,
                       resolve_stepper, run_oco, step_adam, step_adamx, step_amsgrad,
                       synthetic_problem)
 from adamxlab import optimizers
-from adamxlab.optimizers import (SCALAR_MAX_DIM, STEPPERS, History, OptimizerState, _raw,
-                                 alpha_at, run_scalar)
+from adamxlab.optimizers import (RULES, SCALAR_MAX_DIM, STEPPERS, History, OptimizerState,
+                                 _raw, alpha_at, run_scalar, weight_sequence)
 
 H_REF = HyperParams(alpha=0.001, beta1=0.9, beta2=0.999, lam=0.001,
                     schedule=Schedule.EXP_DECAY)
@@ -119,7 +121,6 @@ def test_amsgrad_first_step():
     # (the stored floats carry the rounding of 1-0.9 and 1-0.999)
     s = advance(step_amsgrad, [1010.0])
     assert s.t == 1
-    assert s.beta1_prev == 0.9
     assert s.m[0] == 100.99999999999997
     assert s.v[0] == 1020.1000000000009
     assert s.v_hat[0] == s.v[0]
@@ -186,12 +187,15 @@ def test_adamx_constant_schedule_equals_amsgrad():
         assert np.array_equal(sa.v_hat, sx.v_hat)
 
 
-def test_adamx_requires_beta1_prev_from_step_two():
-    state = fresh_state(np.zeros(1))
-    state = step_adamx(state, np.array([1.0]), H_REF, BOX_REF)
-    state.beta1_prev = None
-    with pytest.raises(ValueError):
-        step_adamx(state, np.array([1.0]), H_REF, BOX_REF)
+def test_a_zero_weight_ignores_the_state_v_hat():
+    # a step function accepts any state: where w = 0.0 (adam, and adamx at
+    # step 1) v_hat is v even when the state's v_hat is infinite or NaN
+    for stepper in (step_adam, step_adamx):
+        for bad in (np.inf, np.nan):
+            state = OptimizerState(x=np.zeros(1), m=np.zeros(1), v=np.zeros(1),
+                                   v_hat=np.array([bad]), t=0)
+            s = stepper(state, np.array([1010.0]), H_REF, BOX_REF)
+            assert s.v_hat.tobytes() == s.v.tobytes() == advance(stepper, [1010.0]).v.tobytes()
 
 
 # ---------------------------------------------------------- adam reference
@@ -264,8 +268,7 @@ def outcome(step):
             s = step()
         except (ValueError, NumericFault) as exc:
             return type(exc), str(exc), getattr(exc, "step", None)
-    return (s.x.tobytes(), s.m.tobytes(), s.v.tobytes(), s.v_hat.tobytes(),
-            s.t, s.beta1_prev)
+    return s.x.tobytes(), s.m.tobytes(), s.v.tobytes(), s.v_hat.tobytes(), s.t
 
 
 def step_outcome(stepper, state, g, h=H_REF):
@@ -347,8 +350,6 @@ def test_resolve_stepper():
 def test_state_time_index_advances():
     s = advance(step_adamx, [1.0, 2.0, 3.0], x1=0.0)
     assert s.t == 3
-    # beta1_prev holds the weight of the latest step: 0.9 * 0.001^2
-    assert s.beta1_prev == 9e-07
 
 
 def test_run_oco_agrees_with_manual_stepping():
@@ -380,6 +381,37 @@ def test_run_kernel_beta1_is_beta1_sequence(schedule):
     assert seq.tobytes() == np.array([written(t) for t in range(1, T + 1)]).tobytes()
     m_prev = np.r_[0.0, m_hist[:-1, 0]]
     assert np.array_equal(m_hist[:, 0], seq * m_prev + (1.0 - seq) * grads[:, 0])
+
+
+@pytest.mark.parametrize("schedule", list(Schedule))
+def test_weight_columns_are_the_scalar_rules_bit_for_bit(schedule):
+    T = 50500
+    for beta1 in (0.0, 0.5, 0.9, 0.99):
+        for lam in (0.001, 0.5, 0.999):
+            h = HyperParams(beta1=beta1, lam=lam, schedule=schedule)
+            for name, rule in RULES.items():
+                col = weight_sequence(rule, h, T)
+                expected = np.fromiter((rule(t, h) for t in range(1, T + 1)), np.float64, T)
+                assert col.tobytes() == expected.tobytes(), (name, h)
+                assert not col.flags.writeable
+                # adam's and amsgrad's weight is one broadcast value; adamx's
+                # column is built once per (h, T)
+                if name == "adamx":
+                    assert weight_sequence(rule, h, T) is col
+                else:
+                    assert col.strides == (0,)
+
+
+def test_the_kernel_reads_what_x_does_not_change_from_columns():
+    for d in (1, 5):
+        for full in (False, True):
+            optimizers._kernel(d, full)
+            name = f"<adamxlab run_scalar d={d}{' full' if full else ''}>"
+            src = "".join(linecache.getlines(name))
+            assert "rule(" not in src and "is None" not in src and "sqrt(t)" not in src
+            # one coordinate body, and one history append a step
+            assert src.count("nvh0 = ") == 1 and src.count("buf += ") == 1
+    assert [f.name for f in dataclasses.fields(OptimizerState)] == ["x", "m", "v", "v_hat", "t"]
 
 
 def test_named_run_builds_no_state_per_step(monkeypatch):
