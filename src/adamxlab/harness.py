@@ -9,14 +9,20 @@ against the best fixed point of the summed objective, obtained from
 Everything is deterministic. Random quantities (quadratic centers,
 minibatch draws) are the values of generators keyed by (seed, t),
 ``np.random.default_rng((seed, t))``. They are computed by
-``keyed.KeyedTable`` for a block of 4096 consecutive t at a time, bitwise
-equal to one generator per t, when a t in the block is first asked for,
-and kept for the life of the problem. A value depends on its key alone,
-not on the access order, so any f_t can be evaluated at random access and
-identical configurations produce bit-identical traces.
+``keyed.KeyedTable``, bitwise equal to one generator per t, when a t is
+first asked for: a block of 4096 consecutive t at a time, or a whole run's
+rows at once when a request spans block edges, and kept for the life of the
+problem. A value depends on its key alone, not on the access order, so any
+f_t can be evaluated at random access and identical configurations produce
+bit-identical traces.
+
+A named run on at most SCALAR_MAX_DIM coordinates runs in the run kernel,
+which takes its gradients from one of two sources a problem brings: a
+column of c_t rows for a gradient that is x - c_t or -c_t (the quadratic
+and the synthetic problem), read once per run, or the float oracle
+``grad_floats``, called once a step (the logistic problem).
 """
 
-import operator
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -27,9 +33,8 @@ from .numerics import FeasibleBox, as_vector, project_box
 from .optimizers import (RULES, SCALAR_MAX_DIM, History, check_oracle, fresh_state,
                          resolve_stepper, run_scalar)
 
-# Steps a float oracle prepares at a time: the quadratic's centers as
-# floats, the logistic problem's minibatch rows. It divides keyed.BLOCK, so
-# a chunk never straddles two blocks of a table.
+# Steps the logistic float oracle gathers minibatch rows for at a time. It
+# divides keyed.BLOCK, so a chunk never straddles two blocks of a table.
 _CHUNK = 256
 
 
@@ -37,8 +42,9 @@ _CHUNK = 256
 class ProblemInstance:
     """A cost sequence plus the constants the regret bounds consume.
 
-    Every problem supplies ``costs``, ``comparator_for`` and
-    ``grad_floats``. ``costs`` maps (T, x) to the array f_1(x), ...,
+    Every problem supplies ``costs`` and ``comparator_for``, and exactly
+    one of ``grad_floats`` and ``affine_grad`` (ValueError otherwise).
+    ``costs`` maps (T, x) to the array f_1(x), ...,
     f_T(x) for one point x of shape (d,), or to f_1(x_1), ..., f_T(x_T)
     for a stack x of shape (T, d), in one vectorized pass, bitwise equal
     to calling ``cost`` once per t;
@@ -48,12 +54,17 @@ class ProblemInstance:
     center when None. ``full_objective``, when present, scores a point
     against the whole dataset behind the cost sequence.
 
-    ``grad_floats`` is the gradient oracle on Python floats: it maps
-    (t, xs), the point as a list of d floats, to the step-t gradient as a
-    list of d floats, bit for bit equal to
-    ``np.asarray(grad(t, np.array(xs)), np.float64).tolist()``. A named run
-    on at most SCALAR_MAX_DIM coordinates goes to the run kernel, which
-    calls it in place of ``grad``.
+    A named run on at most SCALAR_MAX_DIM coordinates goes to the run
+    kernel, which takes its gradients from one of these in place of
+    ``grad``. ``affine_grad`` = (s, rows) says that the step-t gradient is
+    x - c_t when s = 1.0 and -c_t when s = 0.0, bit for bit equal to
+    ``grad(t, x)``; ``rows(start, stop)`` returns c_start .. c_{stop-1} as a
+    (stop - start, d) float64 array, and the kernel reads a run's rows
+    ``rows(1, T + 1)`` once. ``grad_floats`` is the gradient oracle on Python
+    floats for any other gradient: it maps (t, xs), the point as a list of d
+    floats, to the step-t gradient as a list of d floats, bit for bit equal
+    to ``np.asarray(grad(t, np.array(xs)), np.float64).tolist()``, and the
+    kernel calls it once a step.
     """
 
     d: int
@@ -63,10 +74,20 @@ class ProblemInstance:
     g_inf: float
     costs: Callable[[int, np.ndarray], np.ndarray]
     comparator_for: Callable[[int], np.ndarray]
-    grad_floats: Callable[[int, list], list]
+    grad_floats: Optional[Callable[[int, list], list]] = None
     x1: Optional[np.ndarray] = None
     name: str = ""
     full_objective: Optional[Callable[[np.ndarray], float]] = None
+    affine_grad: Optional[tuple[float, Callable[[int, int], np.ndarray]]] = None
+
+    def __post_init__(self):
+        if (self.grad_floats is None) == (self.affine_grad is None):
+            raise ValueError("a problem brings exactly one of grad_floats and affine_grad")
+        if self.affine_grad is not None:
+            s, rows = self.affine_grad
+            if s not in (0.0, 1.0) or not callable(rows):
+                raise ValueError("affine_grad must be (s, rows) with s 0.0 or 1.0 "
+                                 "and rows callable")
 
 
 def synthetic_problem():
@@ -75,7 +96,8 @@ def synthetic_problem():
     f_t(x) = 1010 x when t mod 101 == 1 and -10 x otherwise. Over any
     prefix the slopes sum to a positive number, so the best fixed point
     is -1 for every horizon, while the frequent -10 steps push an
-    optimizer toward +1. The run starts at +1.
+    optimizer toward +1. The run starts at +1. The gradient is the slope,
+    which the run kernel reads as -c_t from the column c_t = -slope_t.
     """
     box = FeasibleBox([-1.0], [1.0])
 
@@ -88,8 +110,9 @@ def synthetic_problem():
     def grad(t, x):
         return np.array([slope(t)])
 
-    def grad_floats(t, xs):
-        return [slope(t)]
+    def negated_slopes(start, stop):
+        ts = np.arange(start, stop)
+        return np.where(ts % 101 == 1, -1010.0, 10.0)[:, None]
 
     def costs(T, x):
         ts = np.arange(1, T + 1)
@@ -98,7 +121,7 @@ def synthetic_problem():
     return ProblemInstance(
         d=1, cost=cost, grad=grad, box=box, g_inf=1010.0, costs=costs,
         comparator_for=lambda T: np.array([-1.0]),
-        x1=np.array([1.0]), name="synthetic", grad_floats=grad_floats,
+        x1=np.array([1.0]), name="synthetic", affine_grad=(0.0, negated_slopes),
     )
 
 
@@ -107,12 +130,11 @@ def quadratic_problem(seed, d, box=None):
 
     The gradient is x - c_t, so with both points in the box its largest
     coordinate never exceeds the box diameter, which therefore serves as
-    g_inf. ``grad_floats`` computes the same x - c_t on lists of floats,
-    against the centers converted ``_CHUNK`` rows at a time. The best fixed
-    point for a horizon T is the mean of the first T centers clamped into
-    the box. c_t is lower + r * (upper - lower) with
-    r = default_rng((seed, t)).random(d), filled 4096 t at a time on first
-    demand (see ``keyed``), so it is the same in any access order.
+    g_inf. The run kernel computes the same x - c_t from the column of
+    centers. The best fixed point for a horizon T is the mean of the first T
+    centers clamped into the box. c_t is lower + r * (upper - lower) with
+    r = default_rng((seed, t)).random(d), drawn on first demand (see
+    ``keyed``), so it is the same in any access order.
     """
     if d < 1:
         raise ValueError("dimension must be >= 1")
@@ -131,18 +153,6 @@ def quadratic_problem(seed, d, box=None):
     def grad(t, x):
         return x - center(t)
 
-    # the centers lo_t .. hi_t - 1 as lists of floats: one aligned chunk,
-    # converted with one tolist() and dropped when the run leaves it
-    lo_t, hi_t, chunk = 0, 0, []
-
-    def grad_floats(t, xs):
-        nonlocal lo_t, hi_t, chunk
-        if not lo_t <= t < hi_t:
-            lo_t = t - t % _CHUNK
-            hi_t = lo_t + _CHUNK
-            chunk = centers.rows(lo_t, hi_t).tolist()
-        return list(map(operator.sub, xs, chunk[t - lo_t]))
-
     # vecdot reproduces np.dot row by row; (D * D).sum(1) and einsum do not
     def costs(T, x):
         diff = x - centers.rows(1, T + 1)
@@ -156,7 +166,7 @@ def quadratic_problem(seed, d, box=None):
     return ProblemInstance(
         d=d, cost=cost, grad=grad, box=box, g_inf=box.diameter, costs=costs,
         comparator_for=comparator_for, name=f"quadratic(seed={seed},d={d})",
-        grad_floats=grad_floats,
+        affine_grad=(1.0, centers.rows),
     )
 
 
@@ -301,7 +311,8 @@ def run_oco(problem, stepper, h, T, record_full=False, record_iterates=None):
 
     A named stepper on a problem of at most SCALAR_MAX_DIM coordinates runs
     the whole run in ``optimizers.run_scalar``, which takes its gradients
-    from the problem's float oracle ``grad_floats`` alone; a step function
+    from the problem's ``affine_grad`` column or its float oracle
+    ``grad_floats`` alone; a step function
     or a wider problem runs one ``grad``, ``cost`` and ``step`` call per
     round. Both give the same bytes and the same faults.
     """

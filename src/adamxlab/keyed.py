@@ -185,12 +185,20 @@ def matches_numpy():
 
 
 class KeyedTable:
-    """Rows ``fill(ts)`` for t = 0, 1, 2, ..., each block of ``BLOCK`` keys
-    filled once, on first demand; any access order sees the same rows."""
+    """Rows ``fill(ts)`` for t = 0, 1, 2, ..., drawn once, on first demand;
+    any access order sees the same rows, since a row is a function of
+    (seed, t) alone.
+
+    ``row`` and a ``rows`` slice inside one block of ``BLOCK`` keys fill that
+    whole block. A ``rows`` slice across a block edge that the table does not
+    already hold is drawn at its exact length and kept as a span, so a run
+    that reads its T rows at once draws T rows, not whole blocks; later
+    requests inside a span read it."""
 
     def __init__(self, fill):
         self.fill = fill
         self.blocks = {}
+        self.spans = []  # (start, stop, rows) drawn at their exact length
 
     def _block(self, b):
         rows = self.blocks.get(b)
@@ -199,13 +207,32 @@ class KeyedTable:
             self.blocks[b] = rows
         return rows
 
+    def _span(self, start, stop):
+        """The held rows start .. stop-1 of one span, or None."""
+        for lo, hi, rows in self.spans:
+            if lo <= start and stop <= hi:
+                return rows[start - lo:stop - lo]
+        return None
+
     def row(self, t):
         b, i = divmod(t, BLOCK)
+        if b not in self.blocks:
+            held = self._span(t, t + 1)
+            if held is not None:
+                return held[0]
         return self._block(b)[i]
 
     def rows(self, start, stop):
         """Rows start .. stop-1 as one array."""
+        held = self._span(start, stop)
+        if held is not None:
+            return held
         first, last = start // BLOCK, (stop - 1) // BLOCK
-        table = (self._block(first) if first == last else
-                 np.concatenate([self._block(b) for b in range(first, last + 1)]))
-        return table[start - first * BLOCK:stop - first * BLOCK]
+        blocks = range(first, last + 1)
+        if first == last or all(b in self.blocks for b in blocks):
+            table = (self._block(first) if first == last else
+                     np.concatenate([self.blocks[b] for b in blocks]))
+            return table[start - first * BLOCK:stop - first * BLOCK]
+        rows = self.fill(np.arange(start, stop))
+        self.spans.append((start, stop, rows))
+        return rows

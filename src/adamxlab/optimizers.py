@@ -34,18 +34,21 @@ v, v_hat or iterate raises NumericFault naming the quantity and the step.
 ``run_scalar`` runs a whole run on Python floats: ``harness.run_oco``
 hands it the run when it is given a stepper name and the problem has at
 most ``SCALAR_MAX_DIM`` = 16 coordinates. It runs the run kernel for the
-problem's d: straight-line code generated from one template, ``_KERNEL``,
-on the first run at that d (and again for ``full`` histories), and cached.
-There x, m, v and v_hat are local floats x0 .. x{d-1}, m0 .., and a step
-is the coordinate steps written out one after another; it builds no list
-per coordinate and no ``OptimizerState``. Everything a step needs that
-does not depend on x comes from columns: beta1_t from
+problem's d and gradient form: straight-line code generated from one
+template, ``_KERNEL``, on the first run that needs that (d, full, form),
+and cached. There x, m, v and v_hat are local floats x0 .. x{d-1}, m0 ..,
+and a step is the coordinate steps written out one after another; it
+builds no list per coordinate and no ``OptimizerState``. Everything a step
+needs that does not depend on x comes from columns: beta1_t from
 ``beta1_sequence(h, T)``, built once per (h, T) and shared with the bound
 and lemma checks, w_t from ``weight_sequence``, and 1 - beta1_t and
-alpha_t from arrays built per block of rows. A step makes one call outside
-the kernel, to the float gradient oracle ``grad_floats`` that every
-problem brings, which takes and returns lists of floats, so the kernel
-builds no array. The rows a run keeps are stored by ``History``, the
+alpha_t from arrays built per block of rows. So does the gradient of a
+problem whose gradient is x - c_t or -c_t (``affine_grad``): the kernel
+reads the run's c_t rows once and computes the gradient inline, with no
+call and no list a step; x - c and -c on Python floats round as numpy's
+do. Any other problem's gradient comes from one call a step to its float
+oracle ``grad_floats``, which takes and returns lists of floats, so the
+kernel builds no array. The rows a run keeps are stored by ``History``, the
 kernel's a block at a time, and the losses f_t(x_t) are scored after the
 run by one ``costs(T, X)`` call on the iterates. A step function
 (perfbench's traced passes hand ``run_oco`` a wrapped one) or a wider
@@ -392,90 +395,116 @@ def _step_columns(alpha, beta1s, weights, start, stop):
             weights[start:stop].tolist())
 
 
-# The run kernel, from which ``_kernel`` generates one function per (d, full).
-# Its fields: {d} the coordinate count; {x} "x0, x1, ...," and likewise {lo},
-# {up} and {g} for the box and the gradient, {m}, {v}, {vh} for the moments
-# before step t and {nm}, {nv}, {nvh} for those it computes; {zeros} sets the
-# moments to 0.0; {step} is the coordinate steps, {total} the fused
-# finiteness sum, {commit} the lines that adopt the new moments and {row} the
-# history row a step appends.
+# The run kernel, from which ``_kernel`` generates one function per (d, full,
+# form). Its fields: {x} "x0, x1, ...," and likewise {lo}, {up} and {g} for
+# the box and the gradient, {nx} for the iterate a step computes, {m}, {v},
+# {vh} for the moments before step t and {nm}, {nv}, {nvh} for those it
+# computes; {zeros} sets the moments to 0.0; {cs} and {cols} add the
+# gradient's column c0, c1, ... to the loop, {grad} is the lines that give
+# the gradient and {done} the name of the last step whose gradient was
+# given; {step} is the coordinate steps, {total} the fused
+# finiteness sum, {commit} the lines that adopt the new iterate and moments
+# and {row} the history row a step appends.
 _KERNEL = """\
-def kernel(rule, problem, h, hist, beta1s, weights):
+def kernel(rule, problem, h, hist, beta1s, weights, column):
     grad_floats, costs, box = problem.grad_floats, problem.costs, problem.box
     T = len(hist.losses)
-    beta2, eps, c2 = h.beta2, h.epsilon, 1.0 - h.beta2
+    beta2, eps, cb2 = h.beta2, h.epsilon, 1.0 - h.beta2
     sqrt, isfinite = math.sqrt, math.isfinite
-    {x} = xs = hist.iterates[0].tolist()
+    {x} = hist.iterates[0].tolist()
     {lo} = box.lower.tolist()
     {up} = box.upper.tolist()
     {zeros} = 0.0
     # the current block's rows, flat, as hist.store takes them
     buf = []
-    # oracled: the last step whose gradient oracle returned, where the step
-    # loop would have gone on to the loss
-    oracled = 0
+    # {done}: the last step whose gradient was given, where the step loop
+    # would have gone on to the loss
+    {done} = 0
     try:
         for start in range(0, T, _BLOCK):
             stop = min(start + _BLOCK, T)
-            for t, b1, c1, a, w in zip(range(start + 1, stop + 1),
-                                       *_step_columns(h.alpha, beta1s, weights, start, stop)):
-                gs = grad_floats(t, xs)
-                oracled = t
-                if len(gs) != {d}:
-                    raise ValueError("grad_floats returned %d coordinates at step %d, "
-                                     "expected {d}" % (len(gs), t))
-                {g} = gs
+            for t, b1, cb1, a, w{cs} in zip(
+                    range(start + 1, stop + 1),
+                    *_step_columns(h.alpha, beta1s, weights, start, stop){cols}):
+{grad}
 {step}
                 if not isfinite({total}):
-                    ({x}), ({nm}), ({nv}), ({nvh}) = _rerun_step(
-                        t, gs, xs, [{m}], [{v}], [{vh}], h, box, rule)
+                    ({nx}), ({nm}), ({nv}), ({nvh}) = _rerun_step(
+                        t, [{g}], [{x}], [{m}], [{v}], [{vh}], h, box, rule)
 {commit}
-                xs = [{x}]
                 buf += ({row})
             hist.store(start, buf)
     except Exception:
         # the step loop meets a non-finite loss at step s before anything a
         # later step raises, whatever its type
         hist.store(start, buf)
-        if oracled:
-            _scored(costs, hist.iterates[:oracled])
+        if {done}:
+            _scored(costs, hist.iterates[:{done}])
         raise
 """
 
+# the gradient lines of each form: the float oracle's call, or the affine
+# gradient x - c_t or -c_t read from the problem's column
+_GRADIENTS = {
+    "oracle": """\
+gs = grad_floats(t, [{x}])
+oracled = t
+if len(gs) != {d}:
+    raise ValueError("grad_floats returned %d coordinates at step %d, "
+                     "expected {d}" % (len(gs), t))
+{g} = gs
+""",
+    "x-c": "g{i} = x{i} - c{i}\n",
+    "-c": "g{i} = -c{i}\n",
+}
+
+# the form of an affine gradient s * x - c_t, by s
+_AFFINE_FORMS = {1.0: "x-c", 0.0: "-c"}
+
 # coordinate i of a step (z is the pre-clamp iterate)
 _COORDINATE = """\
-nm{i} = b1 * m{i} + c1 * g{i}
-nv{i} = beta2 * v{i} + c2 * g{i} * g{i}
+nm{i} = b1 * m{i} + cb1 * g{i}
+nv{i} = beta2 * v{i} + cb2 * g{i} * g{i}
 wvh = w * vh{i}
 nvh{i} = wvh if wvh > nv{i} else nv{i}
 den = sqrt(nvh{i}) + eps
 z{i} = x{i} - a * (nm{i} / den if den > 0.0 else 0.0)
 y = z{i} if z{i} > lo{i} else lo{i}
-x{i} = y if y < up{i} else up{i}
+nx{i} = y if y < up{i} else up{i}
 """
 
 
-@functools.lru_cache(maxsize=2 * SCALAR_MAX_DIM)
-def _kernel(d, full):
-    """The run kernel for d coordinates, keeping the moments when ``full``:
-    ``_KERNEL`` with its coordinate lines written out, compiled on first use
-    and registered with ``linecache`` so that tracebacks show its lines."""
+@functools.lru_cache(maxsize=2 * len(_GRADIENTS) * SCALAR_MAX_DIM)
+def _kernel(d, full, form):
+    """The run kernel for d coordinates, keeping the moments when ``full``
+    and taking the gradient in ``form``, a key of ``_GRADIENTS``: ``_KERNEL``
+    with its coordinate lines written out, compiled on first use and
+    registered with ``linecache`` so that tracebacks show its lines."""
     def names(prefix):
         return ", ".join(f"{prefix}{i}" for i in range(d)) + ","
 
-    def each(template, indent=16):
-        lines = "".join(template.format(i=i) for i in range(d))
-        return textwrap.indent(lines, " " * indent).rstrip("\n")
+    def block(lines):
+        return textwrap.indent(lines, " " * 16).rstrip("\n")
 
+    def each(template):
+        return block("".join(template.format(i=i) for i in range(d)))
+
+    if form == "oracle":
+        grad = block(_GRADIENTS[form].format(d=d, x=names("x"), g=names("g")))
+        done, cs, cols = "oracled", "", ""
+    else:
+        grad = each(_GRADIENTS[form])
+        done, cs = "t", ", " + names("c")
+        cols = ",\n" + " " * 20 + "*column[start:stop].T.tolist()"
     src = _KERNEL.format(
-        d=d, x=names("x"), lo=names("lo"), up=names("up"), g=names("g"), m=names("m"),
-        v=names("v"), vh=names("vh"), nm=names("nm"), nv=names("nv"), nvh=names("nvh"),
-        zeros=" = ".join(f"{q}{i}" for q in ("m", "v", "vh") for i in range(d)),
-        step=each(_COORDINATE),
+        x=names("x"), lo=names("lo"), up=names("up"), g=names("g"), nx=names("nx"),
+        m=names("m"), v=names("v"), vh=names("vh"), nm=names("nm"), nv=names("nv"),
+        nvh=names("nvh"), zeros=" = ".join(f"{q}{i}" for q in ("m", "v", "vh") for i in range(d)),
+        cs=cs, cols=cols, grad=grad, done=done, step=each(_COORDINATE),
         total=" + ".join(f"(nm{i} + nv{i} + nvh{i} + z{i})" for i in range(d)),
-        commit=each("m{i}, v{i}, vh{i} = nm{i}, nv{i}, nvh{i}\n"),
+        commit=each("x{i} = nx{i}\nm{i} = nm{i}\nv{i} = nv{i}\nvh{i} = nvh{i}\n"),
         row=" ".join(names(q) for q in ("g", "x", "m", "v", "vh")[:5 if full else 2]))
-    filename = f"<adamxlab run_scalar d={d}{' full' if full else ''}>"
+    filename = f"<adamxlab run_scalar d={d}{' full' if full else ''} g={form}>"
     linecache.cache[filename] = (len(src), None, src.splitlines(True), filename)
     namespace = {}
     exec(compile(src, filename, "exec"), globals(), namespace)
@@ -485,13 +514,17 @@ def _kernel(d, full):
 def run_scalar(rule, problem, h, hist):
     """A whole run of ``len(hist.losses)`` steps on ``problem``, on at most
     SCALAR_MAX_DIM coordinates, from a fresh state at ``hist.iterates[0]``,
-    carried on Python floats by the generated kernel for (d, ``hist.full``).
+    carried on Python floats by the generated kernel for (d, ``hist.full``)
+    and the problem's gradient form.
 
     Step t takes beta1_t from ``beta1_sequence(h, T)``, w_t from
-    ``weight_sequence(rule, h, T)`` and the gradient at x_t from
-    ``problem.grad_floats``, which must return d floats (ValueError
-    otherwise), and runs coordinate by coordinate, bitwise equal to
-    ``_array_step`` on the states a run reaches; a step whose fused
+    ``weight_sequence(rule, h, T)`` and the gradient at x_t from the
+    problem. A problem with ``affine_grad`` = (s, rows) gives it as x_t - c_t
+    (s = 1) or -c_t (s = 0), with c_t read from the column ``rows(1, T + 1)``,
+    fetched once per run and of shape (T, d) (ValueError otherwise); any other
+    problem's ``grad_floats`` is called once a step and must return d floats
+    (ValueError otherwise). A step runs coordinate by coordinate, bitwise
+    equal to ``_array_step`` on the states a run reaches; a step whose fused
     finiteness sum is not finite is re-run on a rebuilt state as the module
     docstring says, so a run keeps only coordinate steps whose entries are
     all finite. Each step appends its row to one flat list that
@@ -505,8 +538,17 @@ def run_scalar(rule, problem, h, hist):
     instead. Its only output is ``hist``.
     """
     T, d = hist.grads.shape
-    _kernel(d, hist.full)(rule, problem, h, hist, beta1_sequence(h, T),
-                          weight_sequence(rule, h, T))
+    if problem.affine_grad is None:
+        form, column = "oracle", None
+    else:
+        s, rows = problem.affine_grad
+        form = _AFFINE_FORMS[s]
+        column = np.asarray(rows(1, T + 1), dtype=np.float64)
+        if column.shape != (T, d):
+            raise ValueError(f"affine_grad rows(1, {T + 1}) returned shape {column.shape}, "
+                             f"expected ({T}, {d})")
+    _kernel(d, hist.full, form)(rule, problem, h, hist, beta1_sequence(h, T),
+                                weight_sequence(rule, h, T), column)
     hist.losses[:] = _scored(problem.costs, hist.iterates[:T])
 
 

@@ -28,8 +28,13 @@ def test_every_public_name_has_a_caller_in_the_package():
     assert sorted(public - used_names()) == []
 
 
-def test_every_built_in_problem_has_a_float_oracle():
-    # without one a named run takes the step loop, 2-5x slower a step at small d
-    for problem in (adamxlab.synthetic_problem(), adamxlab.quadratic_problem(0, 3),
-                    adamxlab.toy_training_problem(0)):
-        assert callable(problem.grad_floats), problem.name
+def test_every_built_in_problem_has_a_kernel_gradient_source():
+    # without one a named run could not take the run kernel: the synthetic and
+    # quadratic problems hand it a column of c_t rows, the logistic problem a
+    # float oracle
+    synthetic, quadratic, logistic = (adamxlab.synthetic_problem(),
+                                      adamxlab.quadratic_problem(0, 3),
+                                      adamxlab.toy_training_problem(0))
+    assert synthetic.affine_grad[0] == 0.0 and synthetic.grad_floats is None
+    assert quadratic.affine_grad[0] == 1.0 and quadratic.grad_floats is None
+    assert callable(logistic.grad_floats) and logistic.affine_grad is None

@@ -237,12 +237,30 @@ def float_bits(values):
     return [float.hex(v) for v in values]
 
 
-def assert_float_oracle_is_the_array_path(p, xs, ts):
-    for t in ts:
-        got = p.grad_floats(t, xs)
+def column_gradient(s, xs, c):
+    """The gradient the run kernel computes from a column row c: x - c for
+    s = 1, -c for s = 0, on Python floats."""
+    return [x - ci for x, ci in zip(xs, c)] if s == 1.0 else [-ci for ci in c]
+
+
+def assert_float_oracle_is_the_array_path(p, xs, ts, column_first=False):
+    """The kernel's gradient at each t in ``ts``, bit for bit ``grad``'s: the
+    float oracle's, or for a problem with a gradient column the column form
+    on its row, read alone and from the whole run's column
+    ``rows(1, max(ts) + 1)``, fetched before the single rows or after them."""
+    if p.affine_grad is None:
+        got = [(t, p.grad_floats(t, xs)) for t in ts]
+    else:
+        s, rows = p.affine_grad
+        column = rows(1, max(ts) + 1) if column_first else None
+        got = [(t, column_gradient(s, xs, rows(t, t + 1)[0].tolist())) for t in ts]
+        if column is None:
+            column = rows(1, max(ts) + 1)
+        got += [(t, column_gradient(s, xs, column[t - 1].tolist())) for t in ts]
+    for t, g in got:
         expected = np.asarray(p.grad(t, np.array(xs)), np.float64).tolist()
-        assert all(type(v) is float for v in got), t
-        assert float_bits(got) == float_bits(expected), t
+        assert all(type(v) is float for v in g), t
+        assert float_bits(g) == float_bits(expected), t
 
 
 @st.composite
@@ -252,7 +270,8 @@ def float_oracle_cases(draw):
     problem at signed zeros and the corners of its box; and the chunk
     edges, which hold the keyed tables' 4096-row block edge, visited
     forwards, backwards or in random order, or every step from a t > 1
-    through the first chunk edge, as a run that enters it mid-chunk."""
+    through the first chunk edge, as a run that enters it mid-chunk. A
+    column problem's whole column is fetched before or after its rows."""
     ts = draw(st.one_of(st.just(CHUNK_EDGES), st.just(CHUNK_EDGES[::-1]),
                         st.permutations(CHUNK_EDGES),
                         st.integers(2, 255).map(lambda s: list(range(s, 258)))))
@@ -274,7 +293,7 @@ def float_oracle_cases(draw):
         problem = quadratic_problem(draw(st.integers(0, 50)), d, box=box)
     xs = vector(st.one_of(st.sampled_from([0.0, -0.0, 0.3, -0.7, 1.0]),
                           st.floats(-2.0, 2.0)))
-    return problem, xs, ts
+    return problem, xs, ts, draw(st.booleans())
 
 
 @settings(max_examples=60, deadline=None)
@@ -288,11 +307,14 @@ def test_float_oracle_is_bitwise_the_array_path(case):
 
 @pytest.mark.parametrize("d", range(1, SCALAR_MAX_DIM + 1))
 def test_quadratic_float_oracle_in_any_order(d):
-    # a fresh problem per order, so its chunk is first filled at either end
+    # the column form x - c_t: a fresh problem per order, so its centres are
+    # first drawn at either end, a row or the whole column at a time
     xs = [(-0.0, 0.0, 0.3, -0.7)[i % 4] for i in range(d)]
     order = np.random.default_rng(d).permutation(CHUNK_EDGES).tolist()
     for ts in (CHUNK_EDGES, CHUNK_EDGES[::-1], order):
-        assert_float_oracle_is_the_array_path(quadratic_problem(d, d), xs, ts)
+        for column_first in (False, True):
+            assert_float_oracle_is_the_array_path(quadratic_problem(d, d), xs, ts,
+                                                  column_first)
 
 
 def test_failed_self_check_keeps_every_value(monkeypatch):
@@ -443,13 +465,34 @@ def test_logistic_run_draws_each_minibatch_once(monkeypatch):
 
     monkeypatch.setattr(np.random, "default_rng", counting_rng)
     monkeypatch.setattr(keyed, "integers", counting_fill)
-    T = 60
-    p = toy_training_problem(seed=5)
-    run_oco(p, "adamx", H_REF, T)
-    # the dataset's generator and no per-step one: the steps, the comparator
-    # and the comparator losses all read one block of minibatches, filled once
-    assert made == [(5,)]
-    assert fills == [(0, keyed.BLOCK)]
+    for T in (60, 2000):
+        made.clear(), fills.clear()
+        p = toy_training_problem(seed=5)
+        run_oco(p, "adamx", H_REF, T)
+        # the dataset's generator and no per-step one: the steps, the
+        # comparator and the comparator losses all read one block of
+        # minibatches, filled once
+        assert made == [(5,)]
+        assert fills == [(0, keyed.BLOCK)]
+
+
+@pytest.mark.parametrize("T, drawn", [(5000, [(1, 5000)]), (2000, [(0, keyed.BLOCK)])])
+def test_quadratic_run_draws_its_centres_once(monkeypatch, T, drawn):
+    # the kernel's column, the losses and the comparator read the same
+    # rows: a run's T rows at once when they cross a block edge, the whole
+    # first block otherwise
+    keyed.matches_numpy()  # the self-check's own keys, drawn once per process
+    fills, uniform = [], keyed.uniform
+
+    def counting_fill(seed, ts, d):
+        fills.append((int(ts[0]), len(ts)))
+        return uniform(seed, ts, d)
+
+    monkeypatch.setattr(keyed, "uniform", counting_fill)
+    for d in (1, 5):
+        fills.clear()
+        run_oco(quadratic_problem(0, d), "adamx", H_REF, T, record_full=True)
+        assert fills == drawn
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -476,17 +519,31 @@ def test_toy_comparator_beats_grid_probes():
 # ------------------------------------------------------------- run_oco api
 
 def test_problem_requires_costs_and_comparator():
-    # a problem without its comparator losses, its comparator or its float
-    # gradient oracle cannot be built
+    # a problem without its comparator losses or its comparator cannot be
+    # built, nor one that brings both gradient sources for the run kernel or
+    # neither
     parts = dict(d=2, cost=lambda t, x: float(np.sum(x**2)),
                  grad=lambda t, x: 2.0 * x, box=FeasibleBox.cube(-1.0, 1.0, 2),
                  g_inf=4.0, costs=lambda T, x: np.full(T, float(np.sum(x**2))),
                  comparator_for=lambda T: np.zeros(2),
                  grad_floats=lambda t, xs: [2.0 * x for x in xs])
     ProblemInstance(**parts)
-    for missing in ("costs", "comparator_for", "grad_floats"):
+    for missing in ("costs", "comparator_for"):
         with pytest.raises(TypeError, match=missing):
             ProblemInstance(**{k: v for k, v in parts.items() if k != missing})
+    column = (1.0, lambda start, stop: np.zeros((stop - start, 2)))
+    ProblemInstance(**{**parts, "grad_floats": None, "affine_grad": column})
+    one_of = "exactly one of grad_floats and affine_grad"
+    with pytest.raises(ValueError, match=one_of):
+        ProblemInstance(**{k: v for k, v in parts.items() if k != "grad_floats"})
+    with pytest.raises(ValueError, match=one_of):
+        ProblemInstance(**parts, affine_grad=column)
+    with pytest.raises(ValueError, match=one_of):
+        dataclasses.replace(synthetic_problem(), affine_grad=None)
+    # the run kernel has a form for unit and for zero curvature only
+    for bad in ((0.5, column[1]), (-1.0, column[1]), (1.0, None)):
+        with pytest.raises(ValueError, match="affine_grad must be"):
+            ProblemInstance(**{**parts, "grad_floats": None, "affine_grad": bad})
 
 
 def test_histories_gated_by_flags():
@@ -660,16 +717,36 @@ def test_named_run_is_bitwise_the_step_loop(case):
     assert isinstance(got, list)
 
 
+def column_twin(problem):
+    """``problem``, whose gradient must not depend on x, with the run kernel
+    reading it as -c_t from the column c_t = -grad(t, x) in place of the
+    float oracle."""
+    d = problem.d
+
+    def rows(start, stop):
+        grads = [problem.grad(t, None) for t in range(start, stop)]
+        return -np.array(grads, dtype=float).reshape(stop - start, d)
+
+    return dataclasses.replace(problem, grad_floats=None, affine_grad=(0.0, rows))
+
+
 @pytest.mark.parametrize("d", range(1, SCALAR_MAX_DIM + 1))
 def test_every_generated_kernel_is_bitwise_the_step_loop(d):
     # the property draws d, so it may miss one of the generated kernels; on
-    # a box that clamps, every rule and both settings of full, over a block edge
+    # a box that clamps, every gradient form, every rule and both settings
+    # of full, over a block edge: the quadratic's x - c_t, -c_t on its centres
+    # and a float oracle
     box = FeasibleBox(np.full(d, -0.25), np.linspace(-0.2, 0.5, d))
-    problem = quadratic_problem(d, d, box=box)
-    for name in sorted(STEPPERS):
-        for full in (False, True):
-            assert isinstance(run_both(problem, name, H_REF, _BLOCK + 3, record_full=full),
-                              list)
+    quadratic = quadratic_problem(d, d, box=box)
+    linear = dataclasses.replace(
+        oracle_problem(d, lambda t, x: quadratic.grad(t, np.zeros(d))), box=box)
+    oracle = dataclasses.replace(quadratic, affine_grad=None,
+                                 grad_floats=float_oracle(quadratic.grad))
+    for problem in (quadratic, column_twin(linear), oracle):
+        for name in sorted(STEPPERS):
+            for full in (False, True):
+                assert isinstance(
+                    run_both(problem, name, H_REF, _BLOCK + 3, record_full=full), list)
 
 
 def oracle_problem(d, grad, cost=lambda t, x: 0.0):
@@ -738,14 +815,16 @@ FAULTS = {
 @pytest.mark.parametrize("name", sorted(STEPPERS))
 @pytest.mark.parametrize("case", FAULTS.values(), ids=FAULTS.keys())
 def test_named_run_faults_like_the_step_loop(case, name):
+    # through the float oracle and through the column form -c_t
     grad, cost, T, fault = case
     for d in (1, 5, SCALAR_MAX_DIM + 1):
         problem = oracle_problem(d, grad(d), cost or (lambda t, x: 0.0))
-        got = run_both(problem, name, H_REF, T, record_full=True)
-        if fault is None:
-            assert isinstance(got, list)
-        else:
-            assert got == (NumericFault, *fault)
+        for p in (problem, column_twin(problem)):
+            got = run_both(p, name, H_REF, T, record_full=True)
+            if fault is None:
+                assert isinstance(got, list)
+            else:
+                assert got == (NumericFault, *fault)
 
 
 @pytest.mark.parametrize("k", [3, LATE])
@@ -779,6 +858,19 @@ def test_run_kernel_rejects_a_float_oracle_of_the_wrong_length(extra, k):
             grad_floats=grad_floats)
         got = run_both(problem, "adamx", H_REF, _BLOCK + 10)
         assert got == (NumericFault, f"non-finite cost or gradient at step {k}", k)
+
+
+@pytest.mark.parametrize("shape", [(_BLOCK + 9, 2), (_BLOCK + 10, 3), (_BLOCK + 10,)],
+                         ids=["short", "wide", "flat"])
+def test_run_kernel_rejects_a_column_of_the_wrong_shape(shape):
+    # checked once, before the first step
+    T, d = _BLOCK + 10, 2
+    problem = dataclasses.replace(oracle_problem(d, lambda t, x: np.full(d, 0.5)),
+                                  grad_floats=None,
+                                  affine_grad=(1.0, lambda start, stop: np.zeros(shape)))
+    got = run_outcome(problem, "adamx", H_REF, T)
+    assert got == (ValueError, f"affine_grad rows(1, {T + 1}) returned shape {shape}, "
+                               f"expected ({T}, {d})", None)
 
 
 @pytest.mark.parametrize("k", [4, LATE])
@@ -895,9 +987,12 @@ def edge_runs(draw):
 @example(edge_case([-1.0, 0.0], [1.0, 1.0], [0.5, -0.0], [[1e-170, 0.0]] * 3,
                    record_full=True))
 def test_named_run_is_bitwise_the_step_loop_on_edge_gradients(case):
+    # through the float oracle and through the column form -c_t, whose
+    # column holds the negated edge gradients
     problem, h, T, kwargs = case
-    for name in sorted(STEPPERS):
-        run_both(problem, name, h, T, **kwargs)
+    for p in (problem, column_twin(problem)):
+        for name in sorted(STEPPERS):
+            run_both(p, name, h, T, **kwargs)
 
 
 # The digests every perfbench pass is checked against. The corpus workload
@@ -959,29 +1054,36 @@ def test_named_runs_take_the_run_kernel_up_to_scalar_max_dim():
 
 
 def test_named_run_scores_its_losses_in_one_costs_call():
-    # a named run calls the float oracle alone once a step; the step loop
-    # calls grad and cost once a step and never the float oracle
+    # a named run calls the float oracle alone once a step, or reads a
+    # column problem's rows once a run and calls no oracle; the step loop
+    # calls grad and cost once a step and neither of the kernel's sources
     T = 50
-    kernel = {"cost": 0, "grad": 0, "grad_floats": T, "costs": 2}  # the losses and the comparator's
+    # the kernel's costs calls: the losses and the comparator's
+    kernel = {"cost": 0, "grad": 0, "grad_floats": T, "costs": 2}
+    column = {"cost": 0, "grad": 0, "rows": 1, "costs": 2}
     loop = {"cost": T, "grad": T, "grad_floats": 0, "costs": 1}
+    column_loop = {"cost": T, "grad": T, "rows": 0, "costs": 1}
     for stepper, p, expected in (
-            ("adamx", quadratic_problem(1, 1), kernel),
-            ("adamx", quadratic_problem(1, SCALAR_MAX_DIM), kernel),
-            ("adamx", quadratic_problem(1, SCALAR_MAX_DIM + 1), loop),
-            (STEPPERS["adamx"], quadratic_problem(1, 1), loop),
-            ("adamx", toy_training_problem(1), kernel)):
+            ("adamx", synthetic_problem(), column),
+            ("adamx", quadratic_problem(1, 1), column),
+            ("adamx", quadratic_problem(1, SCALAR_MAX_DIM), column),
+            ("adamx", quadratic_problem(1, SCALAR_MAX_DIM + 1), column_loop),
+            (STEPPERS["adamx"], quadratic_problem(1, 1), column_loop),
+            ("adamx", toy_training_problem(1), kernel),
+            (STEPPERS["adamx"], toy_training_problem(1), loop)):
         calls = dict.fromkeys(expected, 0)
 
-        def counted(name):
-            fn = getattr(p, name)
-
+        def counted(name, fn):
             def wrapper(*args):
                 calls[name] += 1
                 return fn(*args)
             return wrapper
 
-        run_oco(dataclasses.replace(p, **{name: counted(name) for name in calls}),
-                stepper, H_REF, T, record_full=True)
+        fields = {name: counted(name, getattr(p, name)) for name in calls if name != "rows"}
+        if "rows" in calls:
+            s, rows = p.affine_grad
+            fields["affine_grad"] = (s, counted("rows", rows))
+        run_oco(dataclasses.replace(p, **fields), stepper, H_REF, T, record_full=True)
         assert calls == expected
 
 

@@ -150,3 +150,47 @@ def test_table_slice_equals_concatenated_rows(T):
     table = keyed.KeyedTable(lambda ts: keyed.integers(3, ts, 200, 16))
     np.testing.assert_array_equal(table.rows(1, T + 1).reshape(-1),
                                   np.concatenate([table.row(t) for t in range(1, T + 1)]))
+
+
+@pytest.mark.parametrize("start, stop", [(1, 5001), (keyed.BLOCK - 1, keyed.BLOCK + 1),
+                                         (3, 2 * keyed.BLOCK + 7)])
+def test_a_request_across_blocks_draws_its_rows_once(start, stop):
+    fills = []
+
+    def fill(ts):
+        fills.append((int(ts[0]), len(ts)))
+        return keyed.uniform(2, ts, 3)
+
+    table = keyed.KeyedTable(fill)
+    got = table.rows(start, stop).copy()
+    assert fills == [(start, stop - start)]
+    np.testing.assert_array_equal(got, scalar_uniform(2, range(start, stop), 3))
+    # every row and slice inside it, in any order, is read from it
+    inner = [start, stop - 1, keyed.BLOCK, (start + stop) // 2]
+    for t in np.random.default_rng(stop).permutation(inner).tolist():
+        np.testing.assert_array_equal(table.row(t), got[t - start])
+    np.testing.assert_array_equal(table.rows(start + 1, stop), got[1:])
+    np.testing.assert_array_equal(table.rows(start, stop - 1), got[:-1])
+    np.testing.assert_array_equal(table.rows(start, stop), got)
+    assert fills == [(start, stop - start)]
+    # a row outside it fills its block, and the span still serves its rows
+    outside = stop + keyed.BLOCK
+    np.testing.assert_array_equal(table.row(outside), scalar_uniform(2, [outside], 3)[0])
+    np.testing.assert_array_equal(table.rows(start, stop), got)
+    assert len(fills) == 2
+
+
+def test_row_order_does_not_change_a_value():
+    # blocks first, then a request across them, or the request first: the
+    # same rows either way, equal to one generator per key
+    B = keyed.BLOCK
+    ts = [B - 2, B - 1, B, B + 1, 2 * B + 3]
+    expected = scalar_uniform(5, ts, 2)
+    by_rows = keyed.KeyedTable(lambda ts: keyed.uniform(5, ts, 2))
+    rows_first = [by_rows.row(t).copy() for t in ts]
+    span = by_rows.rows(B - 2, 2 * B + 4)
+    by_span = keyed.KeyedTable(lambda ts: keyed.uniform(5, ts, 2))
+    span_first = by_span.rows(B - 2, 2 * B + 4)
+    np.testing.assert_array_equal(np.array(rows_first), expected)
+    np.testing.assert_array_equal(span, span_first)
+    np.testing.assert_array_equal(np.array([by_span.row(t) for t in ts]), expected)

@@ -7,6 +7,7 @@ exponential schedule. All decimals in comments were computed by hand
 from the recursions and frozen before being compared to the code.
 """
 
+import ast
 import dataclasses
 import linecache
 import math
@@ -21,7 +22,7 @@ import pytest
 from adamxlab import (FeasibleBox, HyperParams, NumericFault, Schedule,
                       beta1_at, beta1_sequence, fresh_state, quadratic_problem,
                       resolve_stepper, run_oco, step_adam, step_adamx, step_amsgrad,
-                      synthetic_problem)
+                      synthetic_problem, toy_training_problem)
 from adamxlab import optimizers
 from adamxlab.optimizers import (RULES, SCALAR_MAX_DIM, STEPPERS, History, OptimizerState,
                                  _raw, alpha_at, run_scalar, weight_sequence)
@@ -402,15 +403,34 @@ def test_weight_columns_are_the_scalar_rules_bit_for_bit(schedule):
                     assert col.strides == (0,)
 
 
+def step_body(src):
+    """The statements of a kernel step, less its fault branch: the body of
+    the innermost for loop without the ``if not isfinite(...)`` re-run."""
+    loops = [n for n in ast.walk(ast.parse(src)) if isinstance(n, ast.For)]
+    return [stmt for stmt in loops[-1].body
+            if not (isinstance(stmt, ast.If) and "isfinite" in ast.unparse(stmt.test))]
+
+
 def test_the_kernel_reads_what_x_does_not_change_from_columns():
     for d in (1, 5):
         for full in (False, True):
-            optimizers._kernel(d, full)
-            name = f"<adamxlab run_scalar d={d}{' full' if full else ''}>"
-            src = "".join(linecache.getlines(name))
-            assert "rule(" not in src and "is None" not in src and "sqrt(t)" not in src
-            # one coordinate body, and one history append a step
-            assert src.count("nvh0 = ") == 1 and src.count("buf += ") == 1
+            for form in ("oracle", "x-c", "-c"):
+                optimizers._kernel(d, full, form)
+                name = f"<adamxlab run_scalar d={d}{' full' if full else ''} g={form}>"
+                src = "".join(linecache.getlines(name))
+                assert "rule(" not in src and "is None" not in src and "sqrt(t)" not in src
+                # one coordinate body, and one history append a step
+                assert src.count("nvh0 = ") == 1 and src.count("buf += ") == 1
+                body = [n for stmt in step_body(src) for n in ast.walk(stmt)]
+                calls = {ast.unparse(n.func) for n in body if isinstance(n, ast.Call)}
+                lists = [n for n in body if isinstance(n, (ast.List, ast.ListComp))]
+                if form == "oracle":
+                    assert calls == {"grad_floats", "len", "sqrt", "ValueError"}
+                    assert len(lists) == 1  # the point handed to the oracle
+                else:
+                    # the gradient from the column: no oracle and no list
+                    # a step, only the history row's tuple
+                    assert "grad_floats(" not in src and calls == {"sqrt"} and lists == []
     assert [f.name for f in dataclasses.fields(OptimizerState)] == ["x", "m", "v", "v_hat", "t"]
 
 
@@ -442,21 +462,31 @@ def test_importing_the_package_generates_no_kernel():
     assert proc.stdout.split() == ["0", "0"]
 
 
+def test_kernel_cache_holds_every_variant():
+    # each d, setting of full and gradient form has its own kernel, and all
+    # of them fit in the cache at once
+    assert optimizers._kernel.cache_info().maxsize == (
+        2 * len(optimizers._GRADIENTS) * SCALAR_MAX_DIM)
+
+
 def test_a_second_run_reuses_its_kernel():
-    run_oco(quadratic_problem(2, 7), "adamx", H_REF, 5, record_full=True)
-    before = optimizers._kernel.cache_info()
-    run_oco(quadratic_problem(3, 7), "amsgrad", H_REF, 9, record_full=True)
-    after = optimizers._kernel.cache_info()
-    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    # in each gradient form: x - c_t, -c_t and the float oracle
+    for make in (lambda seed: quadratic_problem(seed, 7), lambda seed: synthetic_problem(),
+                 toy_training_problem):
+        run_oco(make(2), "adamx", H_REF, 5, record_full=True)
+        before = optimizers._kernel.cache_info()
+        run_oco(make(3), "amsgrad", H_REF, 9, record_full=True)
+        after = optimizers._kernel.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
 
 def test_a_traceback_through_the_kernel_shows_its_source():
     def grad_floats(t, xs):
         raise RuntimeError("oracle failed")
 
-    p = replace(quadratic_problem(0, 3), grad_floats=grad_floats)
+    p = replace(toy_training_problem(0), grad_floats=grad_floats)
     with pytest.raises(RuntimeError, match="oracle failed") as info:
         run_oco(p, "adamx", H_REF, 4, record_full=True)
     text = "".join(traceback.format_exception(info.value))
-    assert 'File "<adamxlab run_scalar d=3 full>", line ' in text
-    assert "    gs = grad_floats(t, xs)\n" in text
+    assert 'File "<adamxlab run_scalar d=3 full g=oracle>", line ' in text
+    assert "    gs = grad_floats(t, [x0, x1, x2,])\n" in text
