@@ -181,7 +181,20 @@ def toy_training_problem(seed=0):
     comparator share each draw and see the same rows in any access order.
     Gradients are analytic; ``grad_floats`` gathers the minibatch rows of
     ``_CHUNK`` steps at a time and applies ``grad``'s formula to the point as
-    an array, converted with ``tolist``. The per-sample gradient magnitude never
+    an array, converted with ``tolist``.
+
+    The comparator's objective and ``costs`` at one point evaluate every
+    data point's loss and sigmoid term once, on the 200 points, and gather
+    them in draw order, so a solver evaluation computes 200 of each instead
+    of T * 16. This is bitwise the per-draw formula: y = +-1 makes the
+    negation and every product by y exact, a gemv row ``x_i @ w`` rounds
+    the same in whatever matrix holds it, ``logaddexp`` and ``expit`` act
+    elementwise, and every sum still runs over the T * 16 gathered draws in
+    order (a sum weighted by draw counts would not be bitwise). ``cost``,
+    ``grad``, ``grad_floats`` and ``costs`` on a stack of T points evaluate
+    the drawn rows themselves. Each problem solves its own comparators.
+
+    The per-sample gradient magnitude never
     exceeds the largest feature magnitude (the sigmoid factor is below
     1), which gives g_inf from the data alone. scipy is imported
     only when a gradient or a comparator is first computed, so building
@@ -197,6 +210,13 @@ def toy_training_problem(seed=0):
 
     def margins(theta, xb, yb):
         return yb * (xb @ theta[:2] + theta[2])
+
+    nys = -ys
+
+    # -m for all 200 points: equal bit for bit to -margins(theta, xb, yb)
+    # on any gathered rows xb, yb (see the docstring)
+    def negated_margins(theta):
+        return nys * (features @ theta[:2] + theta[2])
 
     # sum / len is the arithmetic np.mean does, bitwise, without its overhead
     def loss(m):
@@ -237,11 +257,13 @@ def toy_training_problem(seed=0):
         xb, yb = xbs[t - lo_t], ybs[t - lo_t]
         return gradient(margins(np.array(theta), xb, yb), xb, yb).tolist()
 
-    # one point or a stack of T: the stacked (batch, 2) @ (2, 1) products
-    # round as cost's (batch, 2) @ (2,) does, where np.vecdot does not
+    # one point: its 200 losses gathered in draw order; a stack of T: the
+    # stacked (batch, 2) @ (2, 1) products round as cost's (batch, 2) @ (2,)
+    # does, where np.vecdot does not
     def costs(T, x):
         idx = indices.rows(1, T + 1)
-        x = np.broadcast_to(x, (T, 3))
+        if np.ndim(x) == 1:
+            return np.logaddexp(0.0, negated_margins(x))[idx].sum(axis=1) / 16
         m = ys[idx] * ((features[idx] @ x[:, :2, None])[..., 0] + x[:, 2:3])
         return np.logaddexp(0.0, -m).sum(axis=1) / 16
 
@@ -250,12 +272,22 @@ def toy_training_problem(seed=0):
 
     def comparator_for(T):
         from scipy.optimize import minimize
+        nonlocal expit
+        if expit is None:
+            from scipy.special import expit
         idx = indices.rows(1, T + 1).reshape(-1)
-        xb, yb = features[idx], ys[idx]
+        xb = features[idx]
 
+        # loss and gradient of the first T minibatches, each point's term
+        # computed once and gathered in draw order; the sums run over the
+        # T * 16 draws as ``loss`` and ``gradient`` run them
         def objective(theta):
-            m = margins(theta, xb, yb)
-            return loss(m), gradient(m, xb, yb)
+            nm = negated_margins(theta)
+            terms = np.logaddexp(0.0, nm)[idx]
+            coeff = (nys * expit(nm))[idx]
+            gw = coeff @ xb / len(coeff)
+            gb = float(coeff.sum() / len(coeff))
+            return float(terms.sum() / len(terms)), np.array([gw[0], gw[1], gb])
 
         res = minimize(objective, np.zeros(3), jac=True, method="L-BFGS-B",
                        bounds=[(-10.0, 10.0)] * 3)

@@ -223,7 +223,9 @@ class KeyedTable:
         return self._block(b)[i]
 
     def rows(self, start, stop):
-        """Rows start .. stop-1 as one array."""
+        """Rows start .. stop-1 as one array, empty when stop <= start."""
+        if stop <= start:  # no rows; start's block gives their shape
+            return self._block(start // BLOCK)[:0]
         held = self._span(start, stop)
         if held is not None:
             return held

@@ -444,7 +444,7 @@ def test_memoized_logistic_oracle_matches_fresh_draws(seed):
                 assert p.cost(t, x) == ref.cost(t, x)
             np.testing.assert_array_equal(p.grad(t, x), ref.grad(t, x))
             assert p.cost(t, x) == ref.cost(t, x)
-    for T in (25, 40, 1):
+    for T in (25, 40, 2000, 1):
         np.testing.assert_array_equal(p.comparator_for(T), ref.comparator_for(T))
     for x in points:
         assert p.full_objective(x) == ref.full_objective(x)
@@ -499,6 +499,94 @@ def test_quadratic_run_draws_its_centres_once(monkeypatch, T, drawn):
 def test_logistic_comparator_across_the_block_edge(seed):
     np.testing.assert_array_equal(toy_training_problem(seed).comparator_for(keyed.BLOCK + 1),
                                   ReferenceLogistic(seed).comparator_for(keyed.BLOCK + 1))
+
+
+PER_POINT_HORIZONS = (1, 30, 2000, keyed.BLOCK + 1)
+
+
+def logistic_objective(problem, T):
+    """The objective ``comparator_for(T)`` hands L-BFGS-B, caught on its way in."""
+    caught = []
+
+    def catch(fun, x0, **kwargs):
+        caught.append(fun)
+        return minimize(fun, x0, **kwargs)
+
+    with mock.patch("scipy.optimize.minimize", catch):
+        problem.comparator_for(T)
+    return caught[0]
+
+
+def per_point_thetas(seed):
+    corners = [np.array(c) for c in np.ndindex(2, 2, 2)]
+    zeros = [np.copysign(0.0, c - 0.5) for c in corners]
+    rng = np.random.default_rng(seed)
+    return ([20.0 * c - 10.0 for c in corners] + zeros
+            + [rng.uniform(-10.0, 10.0, size=3) for _ in range(4)]
+            + [rng.normal(0.0, 1e-3, size=3) for _ in range(2)])
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_per_point_comparator_path_is_bitwise_the_draws(seed):
+    # the objective's loss and gradient and single-point costs take each of
+    # the 200 points' terms once and gather them; every value equals the
+    # reference formula on the T * 16 gathered rows, bit for bit
+    ref = ReferenceLogistic(seed)
+    rows = [ref.rows(t) for t in range(1, max(PER_POINT_HORIZONS) + 1)]
+    thetas = per_point_thetas(seed)
+    # corners, a signed zero and a random point for costs; f_t does not
+    # depend on T, so each horizon reads a prefix of one reference column
+    scored = [(theta, [ref.loss_grad(theta, ref.xs[r], ref.ys[r])[0] for r in rows])
+              for theta in thetas[::7]]
+    p = toy_training_problem(seed)
+    for T in PER_POINT_HORIZONS:
+        idx = np.concatenate(rows[:T])
+        objective = logistic_objective(p, T)
+        for theta in thetas:
+            loss, grad = objective(theta)
+            want_loss, want_grad = ref.loss_grad(theta, ref.xs[idx], ref.ys[idx])
+            assert loss == want_loss
+            np.testing.assert_array_equal(grad, want_grad)
+        for theta, want in scored:
+            np.testing.assert_array_equal(p.costs(T, theta), want[:T])
+
+
+def test_comparator_evaluates_each_point_once_per_call(monkeypatch):
+    # logaddexp and expit see the 200 points, never the T * 16 draws; the
+    # problem binds expit at its first use, after the spy is in place
+    import scipy.special
+    sizes = {"expit": [], "logaddexp": []}
+    real = {"expit": scipy.special.expit, "logaddexp": np.logaddexp}
+
+    def spy(name):
+        def call(*args):
+            sizes[name].append(np.size(args[-1]))
+            return real[name](*args)
+        return call
+
+    monkeypatch.setattr(scipy.special, "expit", spy("expit"))
+    monkeypatch.setattr(np, "logaddexp", spy("logaddexp"))
+    p = toy_training_problem(seed=3)
+    x = p.comparator_for(2000)
+    assert len(sizes["expit"]) > 1 and set(sizes["expit"]) == {200}
+    assert sizes["logaddexp"] == sizes["expit"]
+    sizes["logaddexp"].clear()
+    p.costs(2000, x)
+    assert sizes["logaddexp"] == [200]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_logistic_comparator_is_optimal(seed):
+    # the projected gradient of the mean loss over the first T minibatches,
+    # from one per-point evaluation, vanishes at the solver's comparator
+    T = 2000
+    ref = ReferenceLogistic(seed)
+    idx = np.concatenate([ref.rows(t) for t in range(1, T + 1)])
+    x = toy_training_problem(seed).comparator_for(T)
+    nm = -ref.ys * (ref.xs @ x[:2] + x[2])
+    coeff = (-ref.ys * expit(nm))[idx]
+    g = np.append(coeff @ ref.xs[idx], coeff.sum()) / len(idx)
+    assert np.max(np.abs(x - np.clip(x - g, -10.0, 10.0))) <= 1e-5
 
 
 def test_toy_comparator_beats_grid_probes():

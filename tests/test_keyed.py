@@ -194,3 +194,15 @@ def test_row_order_does_not_change_a_value():
     np.testing.assert_array_equal(np.array(rows_first), expected)
     np.testing.assert_array_equal(span, span_first)
     np.testing.assert_array_equal(np.array([by_span.row(t) for t in ts]), expected)
+
+
+@pytest.mark.parametrize("start", [0, 5, keyed.BLOCK - 1, keyed.BLOCK, 2 * keyed.BLOCK])
+def test_an_empty_request_returns_no_rows_of_the_row_shape(start):
+    # on a block edge too, fresh or after a span across that edge was drawn
+    fresh = keyed.KeyedTable(lambda ts: keyed.integers(3, ts, 200, 16))
+    spanned = keyed.KeyedTable(lambda ts: keyed.integers(3, ts, 200, 16))
+    spanned.rows(1, 2 * keyed.BLOCK + 1)
+    for table in (fresh, spanned):
+        for stop in (start, start - 1):
+            empty = table.rows(start, stop)
+            assert empty.shape == (0, 16) and empty.dtype == np.int64
