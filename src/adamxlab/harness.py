@@ -17,10 +17,10 @@ f_t can be evaluated at random access and identical configurations produce
 bit-identical traces.
 
 A named run on at most SCALAR_MAX_DIM coordinates runs in the run kernel,
-which takes its gradients from one of two sources a problem brings: a
-column of c_t rows for a gradient that is x - c_t or -c_t (the quadratic
-and the synthetic problem), read once per run, or the float oracle
-``grad_floats``, called once a step (the logistic problem).
+which reads a gradient that is x - c_t or -c_t from a column of c_t rows
+the problem brings (the quadratic and the synthetic problem), once per
+run, and calls any other problem's ``grad`` once a step (the logistic
+problem).
 """
 
 from dataclasses import dataclass
@@ -33,7 +33,7 @@ from .numerics import FeasibleBox, as_vector, project_box
 from .optimizers import (RULES, SCALAR_MAX_DIM, History, check_oracle, fresh_state,
                          resolve_stepper, run_scalar)
 
-# Steps the logistic float oracle gathers minibatch rows for at a time. It
+# Steps the logistic gradient gathers minibatch rows for at a time. It
 # divides keyed.BLOCK, so a chunk never straddles two blocks of a table.
 _CHUNK = 256
 
@@ -42,9 +42,8 @@ _CHUNK = 256
 class ProblemInstance:
     """A cost sequence plus the constants the regret bounds consume.
 
-    Every problem supplies ``costs`` and ``comparator_for``, and exactly
-    one of ``grad_floats`` and ``affine_grad`` (ValueError otherwise).
-    ``costs`` maps (T, x) to the array f_1(x), ...,
+    Every problem supplies ``cost``, ``grad``, ``costs`` and
+    ``comparator_for``. ``costs`` maps (T, x) to the array f_1(x), ...,
     f_T(x) for one point x of shape (d,), or to f_1(x_1), ..., f_T(x_T)
     for a stack x of shape (T, d), in one vectorized pass, bitwise equal
     to calling ``cost`` once per t;
@@ -55,16 +54,13 @@ class ProblemInstance:
     against the whole dataset behind the cost sequence.
 
     A named run on at most SCALAR_MAX_DIM coordinates goes to the run
-    kernel, which takes its gradients from one of these in place of
-    ``grad``. ``affine_grad`` = (s, rows) says that the step-t gradient is
-    x - c_t when s = 1.0 and -c_t when s = 0.0, bit for bit equal to
-    ``grad(t, x)``; ``rows(start, stop)`` returns c_start .. c_{stop-1} as a
-    (stop - start, d) float64 array, and the kernel reads a run's rows
-    ``rows(1, T + 1)`` once. ``grad_floats`` is the gradient oracle on Python
-    floats for any other gradient: it maps (t, xs), the point as a list of d
-    floats, to the step-t gradient as a list of d floats, bit for bit equal
-    to ``np.asarray(grad(t, np.array(xs)), np.float64).tolist()``, and the
-    kernel calls it once a step.
+    kernel, which calls ``grad`` once a step unless the problem brings the
+    optional column ``affine_grad`` = (s, rows) (ValueError unless s is 0.0
+    or 1.0 and rows callable). It says that the step-t gradient is x - c_t
+    when s = 1.0 and -c_t when s = 0.0, bit for bit equal to ``grad(t, x)``;
+    ``rows(start, stop)`` returns c_start .. c_{stop-1} as a (stop - start, d)
+    float64 array, and the kernel reads a run's rows ``rows(1, T + 1)`` once
+    in place of calling ``grad``.
     """
 
     d: int
@@ -74,15 +70,12 @@ class ProblemInstance:
     g_inf: float
     costs: Callable[[int, np.ndarray], np.ndarray]
     comparator_for: Callable[[int], np.ndarray]
-    grad_floats: Optional[Callable[[int, list], list]] = None
     x1: Optional[np.ndarray] = None
     name: str = ""
     full_objective: Optional[Callable[[np.ndarray], float]] = None
     affine_grad: Optional[tuple[float, Callable[[int, int], np.ndarray]]] = None
 
     def __post_init__(self):
-        if (self.grad_floats is None) == (self.affine_grad is None):
-            raise ValueError("a problem brings exactly one of grad_floats and affine_grad")
         if self.affine_grad is not None:
             s, rows = self.affine_grad
             if s not in (0.0, 1.0) or not callable(rows):
@@ -179,9 +172,8 @@ def toy_training_problem(seed=0):
     sequence. The minibatch indices are filled 4096 t at a time on first
     demand (see ``keyed``) and kept per problem, so cost, grad and the
     comparator share each draw and see the same rows in any access order.
-    Gradients are analytic; ``grad_floats`` gathers the minibatch rows of
-    ``_CHUNK`` steps at a time and applies ``grad``'s formula to the point as
-    an array, converted with ``tolist``.
+    Gradients are analytic; ``grad`` gathers the minibatch rows of
+    ``_CHUNK`` consecutive steps at once and reads step t's from them.
 
     The comparator's objective and ``costs`` at one point evaluate every
     data point's loss and sigmoid term once, on the 200 points, and gather
@@ -191,8 +183,8 @@ def toy_training_problem(seed=0):
     the same in whatever matrix holds it, ``logaddexp`` and ``expit`` act
     elementwise, and every sum still runs over the T * 16 gathered draws in
     order (a sum weighted by draw counts would not be bitwise). ``cost``,
-    ``grad``, ``grad_floats`` and ``costs`` on a stack of T points evaluate
-    the drawn rows themselves. Each problem solves its own comparators.
+    ``grad`` and ``costs`` on a stack of T points evaluate the drawn rows
+    themselves. Each problem solves its own comparators.
 
     The per-sample gradient magnitude never
     exceeds the largest feature magnitude (the sigmoid factor is below
@@ -223,12 +215,14 @@ def toy_training_problem(seed=0):
         terms = np.logaddexp(0.0, -m)
         return float(terms.sum() / len(terms))
 
-    expit = None
+    # scipy's sigmoid, imported at its first use: this stub rebinds the
+    # name, so every later call reaches scipy's expit directly
+    def expit(z):
+        nonlocal expit
+        from scipy.special import expit
+        return expit(z)
 
     def gradient(m, xb, yb):
-        nonlocal expit
-        if expit is None:
-            from scipy.special import expit
         coeff = -yb * expit(-m)
         gw = coeff @ xb / len(yb)
         gb = float(coeff.sum() / len(coeff))
@@ -238,16 +232,11 @@ def toy_training_problem(seed=0):
         idx = indices.row(t)
         return loss(margins(x, features[idx], ys[idx]))
 
-    def grad(t, x):
-        idx = indices.row(t)
-        xb, yb = features[idx], ys[idx]
-        return gradient(margins(x, xb, yb), xb, yb)
-
     # the minibatch rows of steps lo_t .. hi_t - 1: one aligned chunk,
-    # gathered at once and dropped when the run leaves it
+    # gathered at once and dropped when a step leaves it
     lo_t, hi_t, xbs, ybs = 0, 0, None, None
 
-    def grad_floats(t, theta):
+    def grad(t, x):
         nonlocal lo_t, hi_t, xbs, ybs
         if not lo_t <= t < hi_t:
             lo_t = t - t % _CHUNK
@@ -255,7 +244,7 @@ def toy_training_problem(seed=0):
             idx = indices.rows(lo_t, hi_t)
             xbs, ybs = features[idx], ys[idx]
         xb, yb = xbs[t - lo_t], ybs[t - lo_t]
-        return gradient(margins(np.array(theta), xb, yb), xb, yb).tolist()
+        return gradient(margins(x, xb, yb), xb, yb)
 
     # one point: its 200 losses gathered in draw order; a stack of T: the
     # stacked (batch, 2) @ (2, 1) products round as cost's (batch, 2) @ (2,)
@@ -272,9 +261,6 @@ def toy_training_problem(seed=0):
 
     def comparator_for(T):
         from scipy.optimize import minimize
-        nonlocal expit
-        if expit is None:
-            from scipy.special import expit
         idx = indices.rows(1, T + 1).reshape(-1)
         xb = features[idx]
 
@@ -296,7 +282,7 @@ def toy_training_problem(seed=0):
     return ProblemInstance(
         d=3, cost=cost, grad=grad, box=box, g_inf=g_inf, costs=costs,
         comparator_for=comparator_for, name=f"logistic(seed={seed})",
-        full_objective=full_objective, grad_floats=grad_floats,
+        full_objective=full_objective,
     )
 
 
@@ -342,11 +328,11 @@ def run_oco(problem, stepper, h, T, record_full=False, record_iterates=None):
     with the 1-based step index attached.
 
     A named stepper on a problem of at most SCALAR_MAX_DIM coordinates runs
-    the whole run in ``optimizers.run_scalar``, which takes its gradients
-    from the problem's ``affine_grad`` column or its float oracle
-    ``grad_floats`` alone; a step function
-    or a wider problem runs one ``grad``, ``cost`` and ``step`` call per
-    round. Both give the same bytes and the same faults.
+    the whole run in ``optimizers.run_scalar``, which reads the problem's
+    ``affine_grad`` column or calls its ``grad`` once a step, and calls no
+    ``cost``; a step function or a wider problem runs one ``grad``, ``cost``
+    and ``step`` call per round. Both give the same bytes and the same
+    faults.
     """
     step = resolve_stepper(stepper)
     if T < 1:

@@ -46,16 +46,15 @@ alpha_t from arrays built per block of rows. So does the gradient of a
 problem whose gradient is x - c_t or -c_t (``affine_grad``): the kernel
 reads the run's c_t rows once and computes the gradient inline, with no
 call and no list a step; x - c and -c on Python floats round as numpy's
-do. Any other problem's gradient comes from one call a step to its float
-oracle ``grad_floats``, which takes and returns lists of floats, so the
-kernel builds no array. The rows a run keeps are stored by ``History``, the
-kernel's a block at a time, and the losses f_t(x_t) are scored after the
-run by one ``costs(T, X)`` call on the iterates. A step function
-(perfbench's traced passes hand ``run_oco`` a wrapped one) or a wider
-problem runs the step loop: one ``grad``, ``cost`` and step call per
-round. It is the one place that checks and coerces gradients that are
-off-shape or not float64; ``SCALAR_MAX_DIM`` says why the cut sits where
-it does.
+do. Any other problem's gradient comes from one call a step to its
+``grad``, on the point as an array and read back as float64; a result not
+shaped (d,) is checked and coerced by the step loop's own rules, in its
+order. The rows a run keeps are stored by ``History``, the kernel's a
+block at a time, and the losses f_t(x_t) are scored after the run by one
+``costs(T, X)`` call on the iterates. A step function (perfbench's traced
+passes hand ``run_oco`` a wrapped one) or a wider problem runs the step
+loop: one ``grad``, ``cost`` and step call per round. ``SCALAR_MAX_DIM``
+says why the cut sits where it does.
 
 The two are bitwise equal: Python's float + - * / are IEEE-754 binary64
 operations rounded to nearest, as numpy's ufuncs are, ``math.sqrt`` is
@@ -370,6 +369,14 @@ def _scored(costs, X):
     return ls
 
 
+def _odd_gradient(t, g, d):
+    """The step-t gradient ``g``, read as float64 but not shaped (d,), taken
+    by the step loop's rules in its order: ``check_oracle``'s fault, then
+    ``_array_step``'s coercion to d coordinates (ValueError if it fails)."""
+    check_oracle(t, 0.0, g)
+    return as_vector(g, dim=d)
+
+
 def _rerun_step(t, gs, xs, ms, vs, vhs, h, box, rule):
     """Step t from the lists of x, m, v and v_hat before it, re-run by
     ``check_oracle`` and ``_array_step`` on a rebuilt state: the run kernel's
@@ -407,10 +414,11 @@ def _step_columns(alpha, beta1s, weights, start, stop):
 # and {row} the history row a step appends.
 _KERNEL = """\
 def kernel(rule, problem, h, hist, beta1s, weights, column):
-    grad_floats, costs, box = problem.grad_floats, problem.costs, problem.box
+    grad, costs, box = problem.grad, problem.costs, problem.box
     T = len(hist.losses)
     beta2, eps, cb2 = h.beta2, h.epsilon, 1.0 - h.beta2
     sqrt, isfinite = math.sqrt, math.isfinite
+    array, asarray, float64 = np.array, np.asarray, np.float64
     {x} = hist.iterates[0].tolist()
     {lo} = box.lower.tolist()
     {up} = box.upper.tolist()
@@ -443,16 +451,16 @@ def kernel(rule, problem, h, hist, beta1s, weights, column):
         raise
 """
 
-# the gradient lines of each form: the float oracle's call, or the affine
-# gradient x - c_t or -c_t read from the problem's column
+# the gradient lines of each form: the call of the problem's grad, read as
+# the step loop reads it, or the affine gradient x - c_t or -c_t read from
+# the problem's column
 _GRADIENTS = {
     "oracle": """\
-gs = grad_floats(t, [{x}])
+gs = asarray(grad(t, array([{x}])), float64)
 oracled = t
-if len(gs) != {d}:
-    raise ValueError("grad_floats returned %d coordinates at step %d, "
-                     "expected {d}" % (len(gs), t))
-{g} = gs
+if gs.shape != ({d},):
+    gs = _odd_gradient(t, gs, {d})
+{g} = gs.tolist()
 """,
     "x-c": "g{i} = x{i} - c{i}\n",
     "-c": "g{i} = -c{i}\n",
@@ -522,18 +530,19 @@ def run_scalar(rule, problem, h, hist):
     problem. A problem with ``affine_grad`` = (s, rows) gives it as x_t - c_t
     (s = 1) or -c_t (s = 0), with c_t read from the column ``rows(1, T + 1)``,
     fetched once per run and of shape (T, d) (ValueError otherwise); any other
-    problem's ``grad_floats`` is called once a step and must return d floats
-    (ValueError otherwise). A step runs coordinate by coordinate, bitwise
-    equal to ``_array_step`` on the states a run reaches; a step whose fused
-    finiteness sum is not finite is re-run on a rebuilt state as the module
-    docstring says, so a run keeps only coordinate steps whose entries are
-    all finite. Each step appends its row to one flat list that
-    ``hist.store`` takes ``_BLOCK`` rows at a time.
+    problem's ``grad`` is called once a step on x_t as an array, and a result
+    that is not shaped (d,) once read as float64 is checked and coerced by the
+    step loop's rules (NumericFault or ValueError). A step runs coordinate by
+    coordinate, bitwise equal to ``_array_step`` on the states a run
+    reaches; a step whose fused finiteness sum is not finite is re-run on a
+    rebuilt state as the module docstring says, so a run keeps only
+    coordinate steps whose entries are all finite. Each step appends its
+    row to one flat list that ``hist.store`` takes ``_BLOCK`` rows at a time.
 
     The losses f_t(x_t) are scored after the steps, by one
     ``problem.costs(T, X)`` call on the iterate rows. The step loop checks
     each loss before its step, so when a step raises, the losses up to it
-    (up to the step before, if the gradient oracle raised) are scored
+    (up to the step before, if reading the gradient raised) are scored
     first, and a non-finite one raises the oracle's fault at its own step
     instead. Its only output is ``hist``.
     """

@@ -1,6 +1,7 @@
 """The public names of ``adamxlab``: each one has a caller in the package."""
 
 import ast
+from dataclasses import fields
 from pathlib import Path
 
 import adamxlab
@@ -29,12 +30,13 @@ def test_every_public_name_has_a_caller_in_the_package():
 
 
 def test_every_built_in_problem_has_a_kernel_gradient_source():
-    # without one a named run could not take the run kernel: the synthetic and
-    # quadratic problems hand it a column of c_t rows, the logistic problem a
-    # float oracle
+    # a problem has one gradient callable, grad, and may add a column: the
+    # synthetic and quadratic problems hand the run kernel their c_t rows,
+    # and it calls the logistic problem's grad
+    names = [f.name for f in fields(adamxlab.ProblemInstance) if "grad" in f.name]
+    assert names == ["grad", "affine_grad"]
     synthetic, quadratic, logistic = (adamxlab.synthetic_problem(),
                                       adamxlab.quadratic_problem(0, 3),
                                       adamxlab.toy_training_problem(0))
-    assert synthetic.affine_grad[0] == 0.0 and synthetic.grad_floats is None
-    assert quadratic.affine_grad[0] == 1.0 and quadratic.grad_floats is None
-    assert callable(logistic.grad_floats) and logistic.affine_grad is None
+    assert synthetic.affine_grad[0] == 0.0 and quadratic.affine_grad[0] == 1.0
+    assert callable(logistic.grad) and logistic.affine_grad is None

@@ -226,8 +226,8 @@ def test_draws_do_not_depend_on_access_order(make):
         assert np.array_equal(p.grad(t, x), expected[t]), t
 
 
-# steps on both sides of the float oracle's 256-row chunk edges and of the
-# keyed table's 4096-row block edges
+# steps on both sides of the logistic gradient's 256-row chunk edges and of
+# the keyed table's 4096-row block edges
 CHUNK_EDGES = sorted({t + k for t in (256, 512, keyed.BLOCK, 2 * keyed.BLOCK)
                       for k in (-1, 0, 1)} | {1, 2})
 
@@ -244,19 +244,16 @@ def column_gradient(s, xs, c):
 
 
 def assert_float_oracle_is_the_array_path(p, xs, ts, column_first=False):
-    """The kernel's gradient at each t in ``ts``, bit for bit ``grad``'s: the
-    float oracle's, or for a problem with a gradient column the column form
-    on its row, read alone and from the whole run's column
-    ``rows(1, max(ts) + 1)``, fetched before the single rows or after them."""
-    if p.affine_grad is None:
-        got = [(t, p.grad_floats(t, xs)) for t in ts]
-    else:
-        s, rows = p.affine_grad
-        column = rows(1, max(ts) + 1) if column_first else None
-        got = [(t, column_gradient(s, xs, rows(t, t + 1)[0].tolist())) for t in ts]
-        if column is None:
-            column = rows(1, max(ts) + 1)
-        got += [(t, column_gradient(s, xs, column[t - 1].tolist())) for t in ts]
+    """The kernel's gradient at each t in ``ts`` on a problem with a gradient
+    column, bit for bit ``grad``'s: the column form on its row, read alone
+    and from the whole run's column ``rows(1, max(ts) + 1)``, fetched before
+    the single rows or after them."""
+    s, rows = p.affine_grad
+    column = rows(1, max(ts) + 1) if column_first else None
+    got = [(t, column_gradient(s, xs, rows(t, t + 1)[0].tolist())) for t in ts]
+    if column is None:
+        column = rows(1, max(ts) + 1)
+    got += [(t, column_gradient(s, xs, column[t - 1].tolist())) for t in ts]
     for t, g in got:
         expected = np.asarray(p.grad(t, np.array(xs)), np.float64).tolist()
         assert all(type(v) is float for v in g), t
@@ -266,19 +263,14 @@ def assert_float_oracle_is_the_array_path(p, xs, ts, column_first=False):
 @st.composite
 def float_oracle_cases(draw):
     """A synthetic or quadratic problem at d = 1 to 16, on a box with signed
-    zero bounds, at a point with signed zero coordinates, or the logistic
-    problem at signed zeros and the corners of its box; and the chunk
+    zero bounds, at a point with signed zero coordinates; and the chunk
     edges, which hold the keyed tables' 4096-row block edge, visited
     forwards, backwards or in random order, or every step from a t > 1
-    through the first chunk edge, as a run that enters it mid-chunk. A
-    column problem's whole column is fetched before or after its rows."""
+    through the first chunk edge, as a run that enters it mid-chunk. The
+    whole column is fetched before or after the rows."""
     ts = draw(st.one_of(st.just(CHUNK_EDGES), st.just(CHUNK_EDGES[::-1]),
                         st.permutations(CHUNK_EDGES),
                         st.integers(2, 255).map(lambda s: list(range(s, 258)))))
-    if draw(st.integers(0, 2)) == 0:
-        xs = draw(st.lists(st.one_of(st.sampled_from([0.0, -0.0, -10.0, 10.0]),
-                                     st.floats(-10.0, 10.0)), min_size=3, max_size=3))
-        return toy_training_problem(draw(st.integers(0, 3))), xs, ts
     d = draw(st.integers(1, SCALAR_MAX_DIM))
 
     def vector(elements):
@@ -299,8 +291,6 @@ def float_oracle_cases(draw):
 @settings(max_examples=60, deadline=None)
 @given(float_oracle_cases())
 @example((synthetic_problem(), [-0.0], [*CHUNK_EDGES[::-1], 102, 101]))
-@example((toy_training_problem(0), [-0.0, 0.0, -0.0], CHUNK_EDGES))
-@example((toy_training_problem(1), [10.0, -10.0, 10.0], CHUNK_EDGES[::-1]))
 def test_float_oracle_is_bitwise_the_array_path(case):
     assert_float_oracle_is_the_array_path(*case)
 
@@ -315,6 +305,28 @@ def test_quadratic_float_oracle_in_any_order(d):
         for column_first in (False, True):
             assert_float_oracle_is_the_array_path(quadratic_problem(d, d), xs, ts,
                                                   column_first)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_logistic_gradient_in_any_order(seed):
+    # grad gathers the minibatch rows of a chunk of steps at a time; each
+    # gradient is the reference's, bit for bit, whichever step fills its
+    # chunk first, and also once costs and the comparator have drawn the
+    # rows' blocks
+    ref = ReferenceLogistic(seed)
+    points = [np.array(x) for x in ([-0.0, 0.0, -0.0], [10.0, -10.0, 10.0], [0.4, -1.2, 0.3])]
+    expected = {t: [ref.grad(t, x).tobytes() for x in points] for t in CHUNK_EDGES}
+    order = np.random.default_rng(seed).permutation(CHUNK_EDGES).tolist()
+    for ts in (CHUNK_EDGES, CHUNK_EDGES[::-1], order):
+        for drawn in (False, True):
+            p = toy_training_problem(seed)
+            if drawn:
+                p.comparator_for(keyed.BLOCK + 1)
+                p.costs(max(CHUNK_EDGES), points[2])
+            for t in ts:
+                for x, want in zip(points, expected[t]):
+                    g = p.grad(t, x)
+                    assert g.dtype == np.float64 and g.tobytes() == want, (t, drawn)
 
 
 def test_failed_self_check_keeps_every_value(monkeypatch):
@@ -608,30 +620,35 @@ def test_toy_comparator_beats_grid_probes():
 
 def test_problem_requires_costs_and_comparator():
     # a problem without its comparator losses or its comparator cannot be
-    # built, nor one that brings both gradient sources for the run kernel or
-    # neither
+    # built; the gradient column is optional and checked when present
     parts = dict(d=2, cost=lambda t, x: float(np.sum(x**2)),
                  grad=lambda t, x: 2.0 * x, box=FeasibleBox.cube(-1.0, 1.0, 2),
                  g_inf=4.0, costs=lambda T, x: np.full(T, float(np.sum(x**2))),
-                 comparator_for=lambda T: np.zeros(2),
-                 grad_floats=lambda t, xs: [2.0 * x for x in xs])
+                 comparator_for=lambda T: np.zeros(2))
     ProblemInstance(**parts)
     for missing in ("costs", "comparator_for"):
         with pytest.raises(TypeError, match=missing):
             ProblemInstance(**{k: v for k, v in parts.items() if k != missing})
     column = (1.0, lambda start, stop: np.zeros((stop - start, 2)))
-    ProblemInstance(**{**parts, "grad_floats": None, "affine_grad": column})
-    one_of = "exactly one of grad_floats and affine_grad"
-    with pytest.raises(ValueError, match=one_of):
-        ProblemInstance(**{k: v for k, v in parts.items() if k != "grad_floats"})
-    with pytest.raises(ValueError, match=one_of):
-        ProblemInstance(**parts, affine_grad=column)
-    with pytest.raises(ValueError, match=one_of):
-        dataclasses.replace(synthetic_problem(), affine_grad=None)
+    ProblemInstance(**parts, affine_grad=column)
+    dataclasses.replace(synthetic_problem(), affine_grad=None)
     # the run kernel has a form for unit and for zero curvature only
     for bad in ((0.5, column[1]), (-1.0, column[1]), (1.0, None)):
         with pytest.raises(ValueError, match="affine_grad must be"):
-            ProblemInstance(**{**parts, "grad_floats": None, "affine_grad": bad})
+            ProblemInstance(**parts, affine_grad=bad)
+
+
+def test_a_problem_that_brings_only_grad_takes_the_run_kernel():
+    # no gradient column: a named run at d <= 16 calls the problem's grad,
+    # here one that depends on x, in the run kernel, bitwise the step loop
+    for d in (1, 5, SCALAR_MAX_DIM):
+        centre = np.linspace(-0.5, 0.5, d)
+        problem = oracle_problem(d, lambda t, x: 2.0 * (x - centre / t),
+                                 lambda t, x: float(np.sum((x - centre / t) ** 2)))
+        assert problem.affine_grad is None
+        for name in sorted(STEPPERS):
+            assert isinstance(run_both(problem, name, H_REF, _BLOCK + 3, record_full=True),
+                              list)
 
 
 def test_histories_gated_by_flags():
@@ -685,11 +702,6 @@ def test_numeric_fault_carries_step():
     assert info.value.step == 1
 
 
-def float_oracle(grad):
-    """The float gradient oracle that is bitwise ``grad``, by construction."""
-    return lambda t, xs: np.asarray(grad(t, np.array(xs)), np.float64).tolist()
-
-
 def constant_problem(g):
     box = FeasibleBox.cube(-1.0, 1.0, len(g))
 
@@ -699,8 +711,7 @@ def constant_problem(g):
     return ProblemInstance(d=len(g), cost=lambda t, x: 0.0,
                            grad=grad, box=box, g_inf=1.0,
                            costs=lambda T, x: np.zeros(T),
-                           comparator_for=lambda T: np.zeros(len(g)), name="constant",
-                           grad_floats=float_oracle(grad))
+                           comparator_for=lambda T: np.zeros(len(g)), name="constant")
 
 
 def hold(state, g, h, box):
@@ -807,15 +818,15 @@ def test_named_run_is_bitwise_the_step_loop(case):
 
 def column_twin(problem):
     """``problem``, whose gradient must not depend on x, with the run kernel
-    reading it as -c_t from the column c_t = -grad(t, x) in place of the
-    float oracle."""
+    reading it as -c_t from the column c_t = -grad(t, x) in place of
+    calling ``grad``."""
     d = problem.d
 
     def rows(start, stop):
         grads = [problem.grad(t, None) for t in range(start, stop)]
         return -np.array(grads, dtype=float).reshape(stop - start, d)
 
-    return dataclasses.replace(problem, grad_floats=None, affine_grad=(0.0, rows))
+    return dataclasses.replace(problem, affine_grad=(0.0, rows))
 
 
 @pytest.mark.parametrize("d", range(1, SCALAR_MAX_DIM + 1))
@@ -823,13 +834,12 @@ def test_every_generated_kernel_is_bitwise_the_step_loop(d):
     # the property draws d, so it may miss one of the generated kernels; on
     # a box that clamps, every gradient form, every rule and both settings
     # of full, over a block edge: the quadratic's x - c_t, -c_t on its centres
-    # and a float oracle
+    # and a call of grad
     box = FeasibleBox(np.full(d, -0.25), np.linspace(-0.2, 0.5, d))
     quadratic = quadratic_problem(d, d, box=box)
     linear = dataclasses.replace(
         oracle_problem(d, lambda t, x: quadratic.grad(t, np.zeros(d))), box=box)
-    oracle = dataclasses.replace(quadratic, affine_grad=None,
-                                 grad_floats=float_oracle(quadratic.grad))
+    oracle = dataclasses.replace(quadratic, affine_grad=None)
     for problem in (quadratic, column_twin(linear), oracle):
         for name in sorted(STEPPERS):
             for full in (False, True):
@@ -846,8 +856,7 @@ def oracle_problem(d, grad, cost=lambda t, x: 0.0):
         return np.array([cost(t, xs[t - 1]) for t in range(1, T + 1)], dtype=float)
 
     return ProblemInstance(d=d, cost=cost, grad=grad, box=box, g_inf=1.0, costs=costs,
-                           comparator_for=lambda T: np.zeros(d), name="oracle",
-                           grad_floats=float_oracle(grad))
+                           comparator_for=lambda T: np.zeros(d), name="oracle")
 
 
 def at_step(k, bad):
@@ -903,7 +912,7 @@ FAULTS = {
 @pytest.mark.parametrize("name", sorted(STEPPERS))
 @pytest.mark.parametrize("case", FAULTS.values(), ids=FAULTS.keys())
 def test_named_run_faults_like_the_step_loop(case, name):
-    # through the float oracle and through the column form -c_t
+    # through grad and through the column form -c_t
     grad, cost, T, fault = case
     for d in (1, 5, SCALAR_MAX_DIM + 1):
         problem = oracle_problem(d, grad(d), cost or (lambda t, x: 0.0))
@@ -925,36 +934,12 @@ def test_named_run_scores_no_loss_where_the_gradient_raised(k):
         assert got[:2] == (ValueError, "could not convert string to float: 'not a number'")
 
 
-@pytest.mark.parametrize("k", [1, LATE])
-@pytest.mark.parametrize("extra", [-1, 1], ids=["too-short", "too-long"])
-def test_run_kernel_rejects_a_float_oracle_of_the_wrong_length(extra, k):
-    # checked before the kernel unpacks the list into one float per coordinate
-    for d in (1, 3):
-        n = d + extra
-
-        def grad_floats(t, xs):
-            return [0.5] * (n if t == k else d)
-
-        problem = dataclasses.replace(oracle_problem(d, lambda t, x: np.full(d, 0.5)),
-                                      grad_floats=grad_floats)
-        got = run_outcome(problem, "adamx", H_REF, _BLOCK + 10)
-        assert got == (ValueError, f"grad_floats returned {n} coordinates at step {k}, "
-                                   f"expected {d}", None)
-        # a non-finite loss at that step comes first, as in the step loop
-        problem = dataclasses.replace(
-            oracle_problem(d, lambda t, x: np.full(d, 0.5), cost_inf_at(k)),
-            grad_floats=grad_floats)
-        got = run_both(problem, "adamx", H_REF, _BLOCK + 10)
-        assert got == (NumericFault, f"non-finite cost or gradient at step {k}", k)
-
-
 @pytest.mark.parametrize("shape", [(_BLOCK + 9, 2), (_BLOCK + 10, 3), (_BLOCK + 10,)],
                          ids=["short", "wide", "flat"])
 def test_run_kernel_rejects_a_column_of_the_wrong_shape(shape):
     # checked once, before the first step
     T, d = _BLOCK + 10, 2
     problem = dataclasses.replace(oracle_problem(d, lambda t, x: np.full(d, 0.5)),
-                                  grad_floats=None,
                                   affine_grad=(1.0, lambda start, stop: np.zeros(shape)))
     got = run_outcome(problem, "adamx", H_REF, T)
     assert got == (ValueError, f"affine_grad rows(1, {T + 1}) returned shape {shape}, "
@@ -976,35 +961,59 @@ def test_run_kernel_scores_the_rows_of_the_block_a_fault_cuts_short(k):
     assert np.isfinite(hist.iterates[:k]).all() and np.isnan(hist.iterates[k:]).all()
 
 
-# each entry maps d to what a gradient oracle returns: off-shape, or not float64.
-# A float oracle returns none of these, so only the step loop, which calls
-# ``grad``, can meet them; the tests run it through a step function.
+# each entry maps d to what a problem's grad returns: off-shape, or not
+# float64. Both routes read it as float64 and take a result not shaped (d,)
+# by the step loop's rules, in its order.
 ODD_GRADIENTS = {
     "python-float": lambda d: 0.5,
+    "too-short": lambda d: np.ones(d - 1),
     "too-long": lambda d: np.ones(d + 1),
     "row-matrix": lambda d: np.ones((1, d)),
     "integers": lambda d: [1] * d,
+    "float32": lambda d: np.full(d, 0.1, dtype=np.float32),
     # the run's own check comes first: a fault, not a dimension mismatch
     "too-long-and-non-finite": lambda d: np.r_[np.ones(d), np.inf],
 }
 
 
-@pytest.mark.parametrize("g", ODD_GRADIENTS.values(), ids=ODD_GRADIENTS.keys())
-def test_named_run_takes_odd_gradients_like_the_step_loop(g):
+@pytest.mark.parametrize("odd", sorted(ODD_GRADIENTS))
+def test_named_run_takes_odd_gradients_like_the_step_loop(odd):
+    # at every step, and at one step at the start and past a block edge
+    g = ODD_GRADIENTS[odd]
     for d in (1, 5):
-        problem = oracle_problem(d, lambda t, x: g(d))
-        got = run_outcome(problem, STEPPERS["adamx"], H_REF, 4, record_full=True)
-        assert isinstance(got, list) or got[0] in (ValueError, NumericFault)
+        for grad, T in ((lambda t, x: g(d), 4), (at_step(1, g)(d), _BLOCK + 10),
+                        (at_step(LATE, g)(d), _BLOCK + 10)):
+            got = run_both(oracle_problem(d, grad), "adamx", H_REF, T, record_full=True)
+            assert isinstance(got, list) or got[0] in (ValueError, NumericFault)
+            if odd in ("too-short", "too-long"):
+                assert got[0] is ValueError
 
 
-@pytest.mark.parametrize("k", [3, LATE])
-@pytest.mark.parametrize("odd", ["python-float", "too-long", "row-matrix"])
+@pytest.mark.parametrize("k", [1, LATE])
+@pytest.mark.parametrize("extra", [-1, 1], ids=["too-short", "too-long"])
+def test_run_kernel_rejects_a_float_oracle_of_the_wrong_length(extra, k):
+    # a grad that returns a list of floats, one too few or too many at step k
+    for d in (1, 3):
+        n = d + extra
+
+        def grad(t, x):
+            return [0.5] * (n if t == k else d)
+
+        got = run_both(oracle_problem(d, grad), "adamx", H_REF, _BLOCK + 10)
+        assert got[0] is ValueError and got[2] is None
+        # a non-finite loss at that step comes first, as in the step loop
+        got = run_both(oracle_problem(d, grad, cost_inf_at(k)), "adamx", H_REF, _BLOCK + 10)
+        assert got == (NumericFault, f"non-finite cost or gradient at step {k}", k)
+
+
+@pytest.mark.parametrize("k", [1, 3, LATE])
+@pytest.mark.parametrize("odd", sorted(ODD_GRADIENTS))
 def test_named_run_checks_the_loss_before_an_odd_gradient(odd, k):
     # the step loop checks the loss of step k before its step coerces the
     # gradient of step k, so an off-shape gradient there hides behind the fault
     for d in (1, 5):
         problem = oracle_problem(d, at_step(k, ODD_GRADIENTS[odd])(d), cost_inf_at(k))
-        got = run_outcome(problem, STEPPERS["adamx"], H_REF, _BLOCK + 10)
+        got = run_both(problem, "adamx", H_REF, _BLOCK + 10)
         assert got == (NumericFault, f"non-finite cost or gradient at step {k}", k)
 
 
@@ -1027,7 +1036,7 @@ def edge_case(lower, upper, x1, grads, h=H_REF, **kwargs):
                               box=FeasibleBox(lower, np.array(upper, dtype=float)),
                               g_inf=1.0, costs=lambda T, x: np.zeros(T),
                               comparator_for=lambda T: lower.copy(), name="edge",
-                              x1=np.array(x1, dtype=float), grad_floats=float_oracle(grad))
+                              x1=np.array(x1, dtype=float))
     return problem, h, len(grads), kwargs
 
 
@@ -1075,7 +1084,7 @@ def edge_runs(draw):
 @example(edge_case([-1.0, 0.0], [1.0, 1.0], [0.5, -0.0], [[1e-170, 0.0]] * 3,
                    record_full=True))
 def test_named_run_is_bitwise_the_step_loop_on_edge_gradients(case):
-    # through the float oracle and through the column form -c_t, whose
+    # through grad and through the column form -c_t, whose
     # column holds the negated edge gradients
     problem, h, T, kwargs = case
     for p in (problem, column_twin(problem)):
@@ -1142,14 +1151,14 @@ def test_named_runs_take_the_run_kernel_up_to_scalar_max_dim():
 
 
 def test_named_run_scores_its_losses_in_one_costs_call():
-    # a named run calls the float oracle alone once a step, or reads a
-    # column problem's rows once a run and calls no oracle; the step loop
-    # calls grad and cost once a step and neither of the kernel's sources
+    # a named run calls grad alone once a step, or reads a column problem's
+    # rows once a run and calls no grad; the step loop calls grad and cost
+    # once a step and reads no column
     T = 50
     # the kernel's costs calls: the losses and the comparator's
-    kernel = {"cost": 0, "grad": 0, "grad_floats": T, "costs": 2}
+    kernel = {"cost": 0, "grad": T, "costs": 2}
     column = {"cost": 0, "grad": 0, "rows": 1, "costs": 2}
-    loop = {"cost": T, "grad": T, "grad_floats": 0, "costs": 1}
+    loop = {"cost": T, "grad": T, "costs": 1}
     column_loop = {"cost": T, "grad": T, "rows": 0, "costs": 1}
     for stepper, p, expected in (
             ("adamx", synthetic_problem(), column),

@@ -425,12 +425,15 @@ def test_the_kernel_reads_what_x_does_not_change_from_columns():
                 calls = {ast.unparse(n.func) for n in body if isinstance(n, ast.Call)}
                 lists = [n for n in body if isinstance(n, (ast.List, ast.ListComp))]
                 if form == "oracle":
-                    assert calls == {"grad_floats", "len", "sqrt", "ValueError"}
-                    assert len(lists) == 1  # the point handed to the oracle
+                    # grad on the point as an array, read as float64; an
+                    # off-shape result goes to the step loop's rules
+                    assert calls == {"grad", "array", "asarray", "_odd_gradient", "gs.tolist",
+                                     "sqrt"}
+                    assert len(lists) == 1  # the point handed to grad
                 else:
-                    # the gradient from the column: no oracle and no list
-                    # a step, only the history row's tuple
-                    assert "grad_floats(" not in src and calls == {"sqrt"} and lists == []
+                    # the gradient from the column: no call of grad and no
+                    # list a step, only the history row's tuple
+                    assert "grad(" not in src and calls == {"sqrt"} and lists == []
     assert [f.name for f in dataclasses.fields(OptimizerState)] == ["x", "m", "v", "v_hat", "t"]
 
 
@@ -470,7 +473,7 @@ def test_kernel_cache_holds_every_variant():
 
 
 def test_a_second_run_reuses_its_kernel():
-    # in each gradient form: x - c_t, -c_t and the float oracle
+    # in each gradient form: x - c_t, -c_t and a call of grad
     for make in (lambda seed: quadratic_problem(seed, 7), lambda seed: synthetic_problem(),
                  toy_training_problem):
         run_oco(make(2), "adamx", H_REF, 5, record_full=True)
@@ -481,12 +484,12 @@ def test_a_second_run_reuses_its_kernel():
 
 
 def test_a_traceback_through_the_kernel_shows_its_source():
-    def grad_floats(t, xs):
+    def grad(t, x):
         raise RuntimeError("oracle failed")
 
-    p = replace(toy_training_problem(0), grad_floats=grad_floats)
+    p = replace(toy_training_problem(0), grad=grad)
     with pytest.raises(RuntimeError, match="oracle failed") as info:
         run_oco(p, "adamx", H_REF, 4, record_full=True)
     text = "".join(traceback.format_exception(info.value))
     assert 'File "<adamxlab run_scalar d=3 full g=oracle>", line ' in text
-    assert "    gs = grad_floats(t, [x0, x1, x2,])\n" in text
+    assert "    gs = asarray(grad(t, array([x0, x1, x2,])), float64)\n" in text

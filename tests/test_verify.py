@@ -303,8 +303,7 @@ def test_context_column_norms():
     p = ProblemInstance(d=2, cost=lambda t, x: 0.0, grad=lambda t, x: g[t - 1],
                         box=FeasibleBox.cube(-1.0, 1.0, 2), g_inf=4.0,
                         costs=lambda T, x: np.zeros(T),
-                        comparator_for=lambda T: np.zeros(2),
-                        grad_floats=lambda t, xs: g[t - 1].tolist())
+                        comparator_for=lambda T: np.zeros(2))
     tr = run_oco(p, "amsgrad", H_EXP, 2, record_full=True)
     np.testing.assert_array_equal(tr.gradient_history, g)
     assert BoundContext.from_run(tr, p, H_EXP).grad_col_norms == [5.0, 2.0]
