@@ -185,56 +185,69 @@ def matches_numpy():
 
 
 class KeyedTable:
-    """Rows ``fill(ts)`` for t = 0, 1, 2, ..., drawn once, on first demand;
-    any access order sees the same rows, since a row is a function of
-    (seed, t) alone.
+    """Rows ``fill(ts)`` for t = 0, 1, 2, ..., each drawn once, on first
+    demand, and kept; any access order sees the same rows, since a row is
+    a function of (seed, t) alone.
 
     ``row`` and a ``rows`` slice inside one block of ``BLOCK`` keys fill that
     whole block. A ``rows`` slice across a block edge that the table does not
-    already hold is drawn at its exact length and kept as a span, so a run
-    that reads its T rows at once draws T rows, not whole blocks; later
-    requests inside a span read it."""
+    already hold is kept as a span, so a run that reads its T rows at once
+    draws T rows, not whole blocks; later requests inside a span read it.
+    Either way only the keys that no block or span holds yet are drawn, so a
+    run at a longer horizon draws only its new rows."""
 
     def __init__(self, fill):
         self.fill = fill
         self.blocks = {}
-        self.spans = []  # (start, stop, rows) drawn at their exact length
+        self.spans = []  # (start, stop, rows)
 
     def _block(self, b):
-        rows = self.blocks.get(b)
-        if rows is None:
-            rows = self.fill(np.arange(b * BLOCK, (b + 1) * BLOCK))
-            self.blocks[b] = rows
-        return rows
+        if b not in self.blocks:
+            self.blocks[b] = self._gather(b * BLOCK, (b + 1) * BLOCK)[0]
+        return self.blocks[b]
 
-    def _span(self, start, stop):
-        """The held rows start .. stop-1 of one span, or None."""
-        for lo, hi, rows in self.spans:
-            if lo <= start and stop <= hi:
-                return rows[start - lo:stop - lo]
-        return None
+    def _held(self, t):
+        """(start, stop, rows) of a block or span that holds key t, or None."""
+        b = t // BLOCK
+        if b in self.blocks:
+            return b * BLOCK, (b + 1) * BLOCK, self.blocks[b]
+        return next((span for span in self.spans if span[0] <= t < span[1]), None)
+
+    def _gather(self, start, stop):
+        """Rows start .. stop-1 from the blocks and spans that hold them, each
+        gap between those drawn by one ``fill`` call; and whether any was."""
+        pieces, drew, t = [], False, start
+        while t < stop:
+            held = self._held(t)
+            if held is None:  # draw up to the next held key
+                end = min([stop] + [lo for lo, _, _ in self.spans if t < lo < stop]
+                          + [b * BLOCK for b in self.blocks if t < b * BLOCK < stop])
+                pieces.append(self.fill(np.arange(t, end)))
+                drew = True
+            else:
+                end = min(stop, held[1])
+                pieces.append(held[2][t - held[0]:end - held[0]])
+            t = end
+        return (pieces[0] if len(pieces) == 1 else np.concatenate(pieces)), drew
 
     def row(self, t):
-        b, i = divmod(t, BLOCK)
-        if b not in self.blocks:
-            held = self._span(t, t + 1)
-            if held is not None:
-                return held[0]
-        return self._block(b)[i]
+        held = self._held(t)
+        return held[2][t - held[0]] if held is not None else self._block(t // BLOCK)[t % BLOCK]
 
     def rows(self, start, stop):
         """Rows start .. stop-1 as one array, empty when stop <= start."""
         if stop <= start:  # no rows; start's block gives their shape
             return self._block(start // BLOCK)[:0]
-        held = self._span(start, stop)
-        if held is not None:
-            return held
-        first, last = start // BLOCK, (stop - 1) // BLOCK
-        blocks = range(first, last + 1)
-        if first == last or all(b in self.blocks for b in blocks):
-            table = (self._block(first) if first == last else
-                     np.concatenate([self.blocks[b] for b in blocks]))
-            return table[start - first * BLOCK:stop - first * BLOCK]
-        rows = self.fill(np.arange(start, stop))
-        self.spans.append((start, stop, rows))
-        return rows
+        held, first = self._held(start), start // BLOCK
+        if held is not None and stop <= held[1]:
+            return held[2][start - held[0]:stop - held[0]]
+        if first == (stop - 1) // BLOCK:
+            return self._block(first)[start - first * BLOCK:stop - first * BLOCK]
+        # a new span takes in what holds its first and last keys
+        last = self._held(stop - 1)
+        lo = held[0] if held is not None else start
+        hi = last[1] if last is not None else stop
+        rows, drew = self._gather(lo, hi)
+        if drew:
+            self.spans = [s for s in self.spans if not lo <= s[0] < hi] + [(lo, hi, rows)]
+        return rows[start - lo:stop - lo]

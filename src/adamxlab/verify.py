@@ -11,6 +11,10 @@ the histories a run records.
 All checks return structured ``CheckReport`` values instead of booleans
 so failures carry both sides of the inequality and the step where it
 broke.
+
+``corpus_runs`` runs a declared corpus; ``bound_report`` and
+``lemma_reports`` give one of its runs the checks its optimizer takes.
+``run_suite`` and the acceptance tests are built from these three.
 """
 
 import math
@@ -427,7 +431,7 @@ def check_decomposition(trace, h, label=""):
     return _report("regret_decomposition", label, ok, lhs, rhs, _ratio(lhs, rhs))
 
 
-# Default corpus for the command-line verification suites: small enough
+# Default corpora for the command-line verification suites: small enough
 # to finish in seconds, varied enough to exercise both optimizers, both
 # decaying schedules, and d > 1.
 _BOUNDS_RUNS = (("synthetic", None, None, 2020),
@@ -437,11 +441,15 @@ _LEMMA_RUNS = (("synthetic", None, None, 1010),
                ("quadratic", 0, 2, 500))
 
 
-def _suite_runs(runs, schedules, h):
-    """Yield (optimizer, problem, hh, trace) for each corpus entry in
-    ``runs`` under each schedule, amsgrad then adamx, with full histories."""
+def corpus_runs(entries, schedules, h=None):
+    """Yield (optimizer, problem, hh, trace) for each (kind, seed, d, T)
+    entry, each schedule, amsgrad then adamx, with full histories: one
+    problem per entry (synthetic ignores seed and d), and ``hh`` is ``h``
+    (default ``HyperParams()``) under the schedule."""
     base = h if h is not None else HyperParams()
-    for kind, seed, d, T in runs:
+    for kind, seed, d, T in entries:
+        if kind not in ("synthetic", "quadratic"):
+            raise ValueError(f"unknown problem kind {kind!r}; choose synthetic or quadratic")
         problem = synthetic_problem() if kind == "synthetic" else quadratic_problem(seed, d)
         for schedule in schedules:
             hh = replace(base, schedule=schedule)
@@ -459,41 +467,53 @@ def _unless_undefined(name, label, check):
         return _report(name, label, False, None, None, None, note=str(err))
 
 
-def _bounds_suite(h=None):
-    reports = []
-    for optimizer, problem, hh, trace in _suite_runs(
-            _BOUNDS_RUNS, (Schedule.EXP_DECAY, Schedule.INVERSE_T), h):
-        label = f"{optimizer},{hh.schedule.value},{problem.name}"
-        ctx = BoundContext.from_run(trace, problem, hh)
+def bound_report(optimizer, problem, h, trace, ctx=None, label=""):
+    """Measured R(T) of one corpus run against ``bound_amsgrad`` (under h's
+    schedule) or ``bound_adamx``, as ``optimizer`` names; a bound undefined
+    at gamma = 1 gives a failed report whose note says why."""
+    if optimizer not in ("amsgrad", "adamx"):
+        raise ValueError(f"no regret bound for optimizer {optimizer!r}")
+    ctx = ctx if ctx is not None else BoundContext.from_run(trace, problem, h)
+    return _unless_undefined("regret_bound", label, lambda: check_regret_bound(
+        trace, bound_amsgrad(ctx, h.schedule) if optimizer == "amsgrad"
+        else bound_adamx(ctx, beta1_sequence(h, trace.T)), label=label))
 
-        def check():
-            bound = (bound_amsgrad(ctx, hh.schedule) if optimizer == "amsgrad"
-                     else bound_adamx(ctx, beta1_sequence(hh, trace.T)))
-            return check_regret_bound(trace, bound, label=label)
 
-        reports.append(_unless_undefined("regret_bound", label, check))
+def lemma_reports(optimizer, problem, h, trace, ctx=None, label=""):
+    """Every lemma check of one corpus run, in order: the vhat bound (scaled
+    for adamx), adamx's closed form, scaled monotonicity and telescoping
+    positivity, the sum lemma and the regret decomposition."""
+    if optimizer == "amsgrad":
+        reports = [check_vhat_bound(trace, problem.g_inf, label=label)]
+    elif optimizer == "adamx":
+        seq = beta1_sequence(h, trace.T)
+        reports = [
+            check_vhat_bound(trace, problem.g_inf, beta1=h.beta1, label=label),
+            check_adamx_vhat_closed_form(trace, seq, label=label),
+            check_adamx_scaled_monotonicity(trace, seq, label=label),
+            check_telescoping_positivity(trace, seq, label=label),
+        ]
+    else:
+        raise ValueError(f"no lemma list for optimizer {optimizer!r}")
+    ctx = ctx if ctx is not None else BoundContext.from_run(trace, problem, h)
+    reports.append(_unless_undefined(
+        "sum_lemma", label, lambda: check_sum_lemma(trace, ctx, label=label)))
+    reports.append(check_decomposition(trace, h, label=label))
     return reports
+
+
+def _bounds_suite(h=None):
+    return [bound_report(optimizer, problem, hh, trace,
+                         label=f"{optimizer},{hh.schedule.value},{problem.name}")
+            for optimizer, problem, hh, trace in corpus_runs(
+                _BOUNDS_RUNS, (Schedule.EXP_DECAY, Schedule.INVERSE_T), h)]
 
 
 def _lemmas_suite(h=None):
-    reports = []
-    for optimizer, problem, hh, trace in _suite_runs(_LEMMA_RUNS, (Schedule.EXP_DECAY,), h):
-        label = f"{optimizer},{problem.name}"
-        if optimizer == "amsgrad":
-            reports.append(check_vhat_bound(trace, problem.g_inf, label=label))
-        else:
-            seq = beta1_sequence(hh, trace.T)
-            reports += [
-                check_vhat_bound(trace, problem.g_inf, beta1=hh.beta1, label=label),
-                check_adamx_vhat_closed_form(trace, seq, label=label),
-                check_adamx_scaled_monotonicity(trace, seq, label=label),
-                check_telescoping_positivity(trace, seq, label=label),
-            ]
-        ctx = BoundContext.from_run(trace, problem, hh)
-        reports.append(_unless_undefined(
-            "sum_lemma", label, lambda: check_sum_lemma(trace, ctx, label=label)))
-        reports.append(check_decomposition(trace, hh, label=label))
-    return reports
+    return [report
+            for optimizer, problem, hh, trace in corpus_runs(_LEMMA_RUNS, (Schedule.EXP_DECAY,), h)
+            for report in lemma_reports(optimizer, problem, hh, trace,
+                                        label=f"{optimizer},{problem.name}")]
 
 
 SUITES = ("counterexample", "bounds", "lemmas", "all")

@@ -1,10 +1,11 @@
 """Shared fixtures: the run corpus, long-horizon runs, and the acceptance tally.
 
 The corpus (synthetic plus 20 seeded quadratics, both decaying schedules,
-both max-rule optimizers, T = 5000, full histories) is built once per
-session because four different acceptance criteria consume it. Wall time
-is tracked per optimizer so the runtime budgets can be asserted against
-the share each criterion actually used.
+both max-rule optimizers, T = 5000, full histories) comes from
+``verify.corpus_runs`` and is built once per session because four
+acceptance criteria consume it. Wall time is tracked per optimizer, one
+yielded run at a time, so the runtime budgets can be asserted against the
+share each criterion actually used.
 """
 
 import os
@@ -13,10 +14,13 @@ from pathlib import Path
 
 import pytest
 
-from adamxlab import (BoundContext, HyperParams, Schedule, quadratic_problem,
-                      run_oco, synthetic_problem, toy_training_problem)
+from adamxlab import (BoundContext, HyperParams, Schedule, keyed, run_oco, synthetic_problem,
+                      toy_training_problem)
+from adamxlab.verify import corpus_runs
 
-CORPUS_T = 5000
+# synthetic, and quadratics seeds 0-9 at d = 1 and 10-19 at d = 5, all at T = 5000
+CORPUS = (("synthetic", None, None, 5000),
+          *(("quadratic", seed, 1 if seed < 10 else 5, 5000) for seed in range(20)))
 DECAY_T = 50500
 DECAY_CHECKPOINTS = (1010, 10100, 50500)
 TOY_STEPS = 2000
@@ -31,6 +35,19 @@ def _record(criterion, ok, detail):
 @pytest.fixture
 def record():
     return _record
+
+
+@pytest.fixture
+def keyed_fills(monkeypatch):
+    """The (first key, row count) of every keyed draw made from here on."""
+    keyed.matches_numpy()  # the self-check's own keys, drawn once per process
+    fills = []
+    for name in ("uniform", "integers"):
+        def fill(seed, ts, *args, draw=getattr(keyed, name)):
+            fills.append((int(ts[0]), len(ts)))
+            return draw(seed, ts, *args)
+        monkeypatch.setattr(keyed, name, fill)
+    return fills
 
 
 def pytest_configure(config):
@@ -52,25 +69,16 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 @pytest.fixture(scope="session")
 def corpus():
-    """Every (problem, schedule, optimizer) combination with full histories.
-
-    Seeds 0-9 are 1-dimensional quadratics, 10-19 are 5-dimensional; the
-    synthetic sign-flip problem rides along at the same horizon.
-    """
-    problems = [synthetic_problem()]
-    problems += [quadratic_problem(seed, 1 if seed < 10 else 5) for seed in range(20)]
-    runs = {}
+    """(optimizer, problem, h, trace, ctx) for every corpus run, in
+    ``corpus_runs`` order, and the seconds each optimizer's runs took."""
+    runs = []
     timings = {"amsgrad": 0.0, "adamx": 0.0}
-    for schedule in (Schedule.EXP_DECAY, Schedule.INVERSE_T):
-        h = HyperParams(alpha=0.001, beta1=0.9, beta2=0.999, lam=0.001,
-                        schedule=schedule)
-        for problem in problems:
-            for optimizer in ("amsgrad", "adamx"):
-                start = time.perf_counter()
-                trace = run_oco(problem, optimizer, h, CORPUS_T, record_full=True)
-                ctx = BoundContext.from_run(trace, problem, h)
-                timings[optimizer] += time.perf_counter() - start
-                runs[(problem.name, schedule, optimizer)] = (problem, h, trace, ctx)
+    start = time.perf_counter()
+    for optimizer, problem, h, trace in corpus_runs(
+            CORPUS, (Schedule.EXP_DECAY, Schedule.INVERSE_T)):
+        runs.append((optimizer, problem, h, trace, BoundContext.from_run(trace, problem, h)))
+        timings[optimizer] += time.perf_counter() - start
+        start = time.perf_counter()
     return {"runs": runs, "timings": timings}
 
 

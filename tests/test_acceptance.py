@@ -11,14 +11,11 @@ import time
 import numpy as np
 import pytest
 
-from adamxlab import (FeasibleBox, HyperParams, Schedule, beta1_sequence,
-                      bound_adamx, bound_amsgrad, check_adamx_scaled_monotonicity,
-                      check_adamx_vhat_closed_form, check_sum_lemma,
-                      check_vhat_bound, project_box, quadratic_problem,
-                      reproduce_counterexample, run_oco, synthetic_problem)
+from adamxlab import (FeasibleBox, Schedule, project_box, reproduce_counterexample,
+                      run_oco, synthetic_problem)
 from adamxlab.cli import main as cli_main
-from adamxlab.verify import example_hyperparams
-from conftest import CORPUS_T, DECAY_CHECKPOINTS, TOY_STEPS
+from adamxlab.verify import bound_report, corpus_runs, example_hyperparams, lemma_reports
+from conftest import DECAY_CHECKPOINTS, TOY_STEPS
 
 X2 = 0.9968377223398316
 X3 = 0.9970569034941291
@@ -74,44 +71,26 @@ def test_criterion_2_sign_flip(record):
     assert d2 < 0
 
 
-def test_criterion_3_amsgrad_bound_domination(record, corpus):
-    dominated = total = 0
-    min_slack = float("inf")
-    for (name, schedule, optimizer), (p, h, trace, ctx) in corpus["runs"].items():
-        if optimizer != "amsgrad":
-            continue
-        total += 1
-        regret = float(trace.cumulative_regret[-1])
-        bound = bound_amsgrad(ctx, schedule)
-        dominated += regret <= bound
-        if regret > 0:
-            min_slack = min(min_slack, bound / regret)
-    wall = corpus["timings"]["amsgrad"]
-    ok = dominated == total == 42 and wall < 60.0
-    record(3, ok, f"{dominated}/{total} runs dominated (min bound/regret "
-                  f"{min_slack:.3g}), {wall:.1f} s")
-    assert dominated == total == 42
+def assert_bound_domination(record, corpus, criterion, optimizer):
+    """Every corpus run of ``optimizer`` stays under its regret bound, and
+    its runs took under 60 s."""
+    reports = [bound_report(o, p, h, trace, ctx) for o, p, h, trace, ctx in corpus["runs"]
+               if o == optimizer]
+    dominated = sum(r.passed for r in reports)
+    wall = corpus["timings"][optimizer]
+    ok = dominated == len(reports) == 42 and wall < 60.0
+    record(criterion, ok, f"{dominated}/{len(reports)} runs dominated (min bound/regret "
+                          f"{min(r.slack for r in reports):.3g}), {wall:.1f} s")
+    assert dominated == len(reports) == 42
     assert wall < 60.0
+
+
+def test_criterion_3_amsgrad_bound_domination(record, corpus):
+    assert_bound_domination(record, corpus, 3, "amsgrad")
 
 
 def test_criterion_4_adamx_bound_domination(record, corpus):
-    dominated = total = 0
-    min_slack = float("inf")
-    for (name, schedule, optimizer), (p, h, trace, ctx) in corpus["runs"].items():
-        if optimizer != "adamx":
-            continue
-        total += 1
-        regret = float(trace.cumulative_regret[-1])
-        bound = bound_adamx(ctx, beta1_sequence(h, CORPUS_T))
-        dominated += regret <= bound
-        if regret > 0:
-            min_slack = min(min_slack, bound / regret)
-    wall = corpus["timings"]["adamx"]
-    ok = dominated == total == 42 and wall < 60.0
-    record(4, ok, f"{dominated}/{total} runs dominated (min bound/regret "
-                  f"{min_slack:.3g}), {wall:.1f} s")
-    assert dominated == total == 42
-    assert wall < 60.0
+    assert_bound_domination(record, corpus, 4, "adamx")
 
 
 def test_criterion_5_average_regret_decays(record, decay_runs):
@@ -152,18 +131,13 @@ def test_decay_reference_values(decay_runs):
 
 
 def test_criterion_6_constant_schedule_equivalence(record):
-    h = HyperParams(alpha=0.001, beta1=0.9, beta2=0.999, lam=0.001,
-                    schedule=Schedule.CONSTANT)
-    dims = (1, 2, 5)
+    runs = corpus_runs([("quadratic", seed, (1, 2, 5)[seed % 3], 1000) for seed in range(10)],
+                       (Schedule.CONSTANT,))
     identical = 0
-    for seed in range(10):
-        p = quadratic_problem(seed, dims[seed % 3])
-        a = run_oco(p, "amsgrad", h, 1000, record_full=True)
-        b = run_oco(p, "adamx", h, 1000, record_full=True)
-        same = (np.array_equal(a.iterates, b.iterates)
-                and np.array_equal(a.m_history, b.m_history)
-                and np.array_equal(a.v_history, b.v_history)
-                and np.array_equal(a.vhat_history, b.vhat_history))
+    # runs come in (amsgrad, adamx) pairs, one pair per seed
+    for (_, _, _, a), (_, _, _, b) in zip(runs, runs):
+        same = all(np.array_equal(getattr(a, k), getattr(b, k))
+                   for k in ("iterates", "m_history", "v_history", "vhat_history"))
         identical += same
         assert same
     record(6, identical == 10,
@@ -171,30 +145,14 @@ def test_criterion_6_constant_schedule_equivalence(record):
 
 
 def test_criterion_7_lemma_suite(record, corpus):
-    checks = failures = 0
-
-    def tally(report):
-        nonlocal checks, failures
-        checks += 1
-        failures += report.status != "pass"
-        assert report.status == "pass", report
-
-    for (name, schedule, optimizer), (p, h, trace, ctx) in corpus["runs"].items():
-        seq = beta1_sequence(h, CORPUS_T)
-        if optimizer == "amsgrad":
-            tally(check_vhat_bound(trace, p.g_inf))
-        else:
-            tally(check_vhat_bound(trace, p.g_inf, beta1=h.beta1))
-            tally(check_adamx_scaled_monotonicity(trace, seq))
-        tally(check_sum_lemma(trace, ctx))
-
-    h = example_hyperparams()
-    for p in (synthetic_problem(), quadratic_problem(0, 2)):
-        trace = run_oco(p, "adamx", h, 500, record_full=True)
-        tally(check_adamx_vhat_closed_form(trace, beta1_sequence(h, 500)))
-    record(7, failures == 0, f"{checks - failures}/{checks} lemma checks passed "
-                             f"(vhat bounds, monotonicity, sum lemma on the "
-                             f"corpus; closed form at T=500)")
+    reports = [report for o, p, h, trace, ctx in corpus["runs"]
+               for report in lemma_reports(o, p, h, trace, ctx)]
+    failed = [r for r in reports if not r.passed]
+    record(7, not failed and len(reports) == 378,
+           f"{len(reports) - len(failed)}/{len(reports)} lemma checks passed (every "
+           f"lemma_reports check on all {len(corpus['runs'])} corpus runs)")
+    assert not failed, failed
+    assert len(reports) == 378
 
 
 def test_criterion_8_projection_properties(record, corpus, decay_runs, toy_runs):
@@ -216,7 +174,7 @@ def test_criterion_8_projection_properties(record, corpus, decay_runs, toy_runs)
         assert np.array_equal(project_box(px, box), px)
 
     rows = 0
-    traces = [(p.box, tr) for (p, h, tr, ctx) in corpus["runs"].values()]
+    traces = [(p.box, tr) for (o, p, h, tr, ctx) in corpus["runs"]]
     traces.append((decay_runs["problem"].box, decay_runs["runs"]["amsgrad"][0]))
     traces.append((decay_runs["problem"].box, decay_runs["runs"]["adamx"][0]))
     for name in ("amsgrad", "adamx"):

@@ -22,6 +22,7 @@ from adamxlab import cli, harness
 from adamxlab.harness import RegretTrace, comparator_oracle
 from adamxlab.optimizers import _BLOCK, RULES, SCALAR_MAX_DIM, STEPPERS, History, run_scalar
 from adamxlab.numerics import project_box
+from adamxlab.verify import corpus_runs
 
 H_REF = HyperParams(alpha=0.001, beta1=0.9, beta2=0.999, lam=0.001,
                     schedule=Schedule.EXP_DECAY)
@@ -243,7 +244,7 @@ def column_gradient(s, xs, c):
     return [x - ci for x, ci in zip(xs, c)] if s == 1.0 else [-ci for ci in c]
 
 
-def assert_float_oracle_is_the_array_path(p, xs, ts, column_first=False):
+def assert_column_gradient_is_grad(p, xs, ts, column_first=False):
     """The kernel's gradient at each t in ``ts`` on a problem with a gradient
     column, bit for bit ``grad``'s: the column form on its row, read alone
     and from the whole run's column ``rows(1, max(ts) + 1)``, fetched before
@@ -261,7 +262,7 @@ def assert_float_oracle_is_the_array_path(p, xs, ts, column_first=False):
 
 
 @st.composite
-def float_oracle_cases(draw):
+def column_gradient_cases(draw):
     """A synthetic or quadratic problem at d = 1 to 16, on a box with signed
     zero bounds, at a point with signed zero coordinates; and the chunk
     edges, which hold the keyed tables' 4096-row block edge, visited
@@ -289,10 +290,10 @@ def float_oracle_cases(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(float_oracle_cases())
+@given(column_gradient_cases())
 @example((synthetic_problem(), [-0.0], [*CHUNK_EDGES[::-1], 102, 101]))
-def test_float_oracle_is_bitwise_the_array_path(case):
-    assert_float_oracle_is_the_array_path(*case)
+def test_column_gradient_is_bitwise_grad(case):
+    assert_column_gradient_is_grad(*case)
 
 
 @pytest.mark.parametrize("d", range(1, SCALAR_MAX_DIM + 1))
@@ -303,7 +304,7 @@ def test_quadratic_float_oracle_in_any_order(d):
     order = np.random.default_rng(d).permutation(CHUNK_EDGES).tolist()
     for ts in (CHUNK_EDGES, CHUNK_EDGES[::-1], order):
         for column_first in (False, True):
-            assert_float_oracle_is_the_array_path(quadratic_problem(d, d), xs, ts,
+            assert_column_gradient_is_grad(quadratic_problem(d, d), xs, ts,
                                                   column_first)
 
 
@@ -462,49 +463,34 @@ def test_memoized_logistic_oracle_matches_fresh_draws(seed):
         assert p.full_objective(x) == ref.full_objective(x)
 
 
-def test_logistic_run_draws_each_minibatch_once(monkeypatch):
-    keyed.matches_numpy()  # the self-check's own keys, drawn once per process
-    made, fills = [], []
-    default_rng, integers = np.random.default_rng, keyed.integers
+def test_logistic_run_draws_each_minibatch_once(monkeypatch, keyed_fills):
+    made, default_rng = [], np.random.default_rng
 
     def counting_rng(*args, **kwargs):
         made.append(args)
         return default_rng(*args, **kwargs)
 
-    def counting_fill(seed, ts, n, k):
-        fills.append((int(ts[0]), len(ts)))
-        return integers(seed, ts, n, k)
-
     monkeypatch.setattr(np.random, "default_rng", counting_rng)
-    monkeypatch.setattr(keyed, "integers", counting_fill)
     for T in (60, 2000):
-        made.clear(), fills.clear()
+        made.clear(), keyed_fills.clear()
         p = toy_training_problem(seed=5)
         run_oco(p, "adamx", H_REF, T)
         # the dataset's generator and no per-step one: the steps, the
         # comparator and the comparator losses all read one block of
         # minibatches, filled once
         assert made == [(5,)]
-        assert fills == [(0, keyed.BLOCK)]
+        assert keyed_fills == [(0, keyed.BLOCK)]
 
 
 @pytest.mark.parametrize("T, drawn", [(5000, [(1, 5000)]), (2000, [(0, keyed.BLOCK)])])
-def test_quadratic_run_draws_its_centres_once(monkeypatch, T, drawn):
+def test_quadratic_run_draws_its_centres_once(keyed_fills, T, drawn):
     # the kernel's column, the losses and the comparator read the same
     # rows: a run's T rows at once when they cross a block edge, the whole
     # first block otherwise
-    keyed.matches_numpy()  # the self-check's own keys, drawn once per process
-    fills, uniform = [], keyed.uniform
-
-    def counting_fill(seed, ts, d):
-        fills.append((int(ts[0]), len(ts)))
-        return uniform(seed, ts, d)
-
-    monkeypatch.setattr(keyed, "uniform", counting_fill)
     for d in (1, 5):
-        fills.clear()
+        keyed_fills.clear()
         run_oco(quadratic_problem(0, d), "adamx", H_REF, T, record_full=True)
-        assert fills == drawn
+        assert keyed_fills == drawn
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -991,7 +977,7 @@ def test_named_run_takes_odd_gradients_like_the_step_loop(odd):
 
 @pytest.mark.parametrize("k", [1, LATE])
 @pytest.mark.parametrize("extra", [-1, 1], ids=["too-short", "too-long"])
-def test_run_kernel_rejects_a_float_oracle_of_the_wrong_length(extra, k):
+def test_run_kernel_rejects_a_grad_of_the_wrong_length(extra, k):
     # a grad that returns a list of floats, one too few or too many at step k
     for d in (1, 3):
         n = d + extra
@@ -1112,16 +1098,12 @@ def run_digest(trace):
 
 def test_corpus_runs_match_benchmark_digests():
     digests = benchmark_digests()
-    T, seed = 5000, 0
-    for schedule in (Schedule.EXP_DECAY, Schedule.INVERSE_T):
-        h = HyperParams(alpha=0.001, beta1=0.9, beta2=0.999, lam=0.001, schedule=schedule)
-        for kind, d in (("synthetic", 1), ("quadratic", 1), ("quadratic", 5)):
-            for optimizer in ("amsgrad", "adamx"):
-                problem = synthetic_problem() if kind == "synthetic" else quadratic_problem(seed, d)
-                trace = run_oco(problem, optimizer, h, T, record_full=True)
-                key = (f"{kind}:{None if kind == 'synthetic' else seed}:{d}:"
-                       f"{schedule.value}:{optimizer}:{T}")
-                assert run_digest(trace) == digests[key], key
+    T = 5000
+    for kind, seed, d in (("synthetic", None, 1), ("quadratic", 0, 1), ("quadratic", 0, 5)):
+        for optimizer, _, h, trace in corpus_runs([(kind, seed, d, T)],
+                                                  (Schedule.EXP_DECAY, Schedule.INVERSE_T)):
+            key = f"{kind}:{seed}:{d}:{h.schedule.value}:{optimizer}:{T}"
+            assert run_digest(trace) == digests[key], key
 
 
 @pytest.mark.parametrize("optimizer", ["amsgrad", "adamx"])

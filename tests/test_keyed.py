@@ -126,23 +126,17 @@ def test_self_check_is_lazy():
 
 # ------------------------------------------------------------ KeyedTable
 
-def test_table_fills_each_block_once_in_any_order():
-    fills = []
-
-    def fill(ts):
-        fills.append(int(ts[0]))
-        return keyed.uniform(2, ts, 2)
-
-    table = keyed.KeyedTable(fill)
+def test_table_fills_each_block_once_in_any_order(keyed_fills):
+    table = keyed.KeyedTable(lambda ts: keyed.uniform(2, ts, 2))
     B = keyed.BLOCK
     order = [2 * B + 5, B, B - 1, 1, 2 * B + 5, B + 7]
     got = [table.row(t).copy() for t in order]
-    assert fills == [2 * B, B, 0]
+    assert keyed_fills == [(2 * B, B), (B, B), (0, B)]
     np.testing.assert_array_equal(np.array(got), scalar_uniform(2, order, 2))
     # a slice across the three filled blocks reads the same rows
     np.testing.assert_array_equal(table.rows(B - 1, 2 * B + 6),
                                   np.array([table.row(t) for t in range(B - 1, 2 * B + 6)]))
-    assert fills == [2 * B, B, 0]
+    assert keyed_fills == [(2 * B, B), (B, B), (0, B)]
 
 
 @pytest.mark.parametrize("T", [1, keyed.BLOCK - 1, keyed.BLOCK, keyed.BLOCK + 1, 2 * keyed.BLOCK + 1])
@@ -154,16 +148,10 @@ def test_table_slice_equals_concatenated_rows(T):
 
 @pytest.mark.parametrize("start, stop", [(1, 5001), (keyed.BLOCK - 1, keyed.BLOCK + 1),
                                          (3, 2 * keyed.BLOCK + 7)])
-def test_a_request_across_blocks_draws_its_rows_once(start, stop):
-    fills = []
-
-    def fill(ts):
-        fills.append((int(ts[0]), len(ts)))
-        return keyed.uniform(2, ts, 3)
-
-    table = keyed.KeyedTable(fill)
+def test_a_request_across_blocks_draws_its_rows_once(keyed_fills, start, stop):
+    table = keyed.KeyedTable(lambda ts: keyed.uniform(2, ts, 3))
     got = table.rows(start, stop).copy()
-    assert fills == [(start, stop - start)]
+    assert keyed_fills == [(start, stop - start)]
     np.testing.assert_array_equal(got, scalar_uniform(2, range(start, stop), 3))
     # every row and slice inside it, in any order, is read from it
     inner = [start, stop - 1, keyed.BLOCK, (start + stop) // 2]
@@ -172,12 +160,12 @@ def test_a_request_across_blocks_draws_its_rows_once(start, stop):
     np.testing.assert_array_equal(table.rows(start + 1, stop), got[1:])
     np.testing.assert_array_equal(table.rows(start, stop - 1), got[:-1])
     np.testing.assert_array_equal(table.rows(start, stop), got)
-    assert fills == [(start, stop - start)]
+    assert keyed_fills == [(start, stop - start)]
     # a row outside it fills its block, and the span still serves its rows
     outside = stop + keyed.BLOCK
     np.testing.assert_array_equal(table.row(outside), scalar_uniform(2, [outside], 3)[0])
     np.testing.assert_array_equal(table.rows(start, stop), got)
-    assert len(fills) == 2
+    assert len(keyed_fills) == 2
 
 
 def test_row_order_does_not_change_a_value():
@@ -206,3 +194,17 @@ def test_an_empty_request_returns_no_rows_of_the_row_shape(start):
         for stop in (start, start - 1):
             empty = table.rows(start, stop)
             assert empty.shape == (0, 16) and empty.dtype == np.int64
+
+
+def test_a_longer_request_draws_only_its_new_rows(keyed_fills):
+    # a problem run at growing horizons: each request extends the span that
+    # holds its start, so 9000 keys draw 9000 rows and one span keeps them
+    table = keyed.KeyedTable(lambda ts: keyed.uniform(6, ts, 2))
+    for start, stop in ((1, 5001), (1, 8001), (2, 9001)):
+        np.testing.assert_array_equal(table.rows(start, stop),
+                                      scalar_uniform(6, range(start, stop), 2))
+    assert keyed_fills == [(1, 5000), (5001, 3000), (8001, 1000)]
+    assert [(lo, hi) for lo, hi, _ in table.spans] == [(1, 9001)]
+    # a block that the span partly holds draws only its other keys
+    np.testing.assert_array_equal(table.row(9100), scalar_uniform(6, [9100], 2)[0])
+    assert keyed_fills[3:] == [(9001, 3 * keyed.BLOCK - 9001)]

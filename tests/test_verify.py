@@ -29,7 +29,7 @@ from adamxlab import (BoundContext, BoundUndefined, FeasibleBox, HyperParams,
                       alpha_at, decomposition_terms, find_t0,
                       quadratic_problem, reproduce_counterexample, run_oco,
                       run_suite, synthetic_problem)
-from adamxlab import harness, verify
+from adamxlab import harness, keyed, verify
 from adamxlab.optimizers import beta1_rule, run_scalar
 from adamxlab.verify import SUITES, example_hyperparams
 
@@ -442,12 +442,9 @@ EQUIV_T = 500
 def equivalence_runs():
     """amsgrad and adamx on the synthetic problem and a d=5 quadratic,
     under both decaying schedules; amsgrad histories fail the closed form."""
-    runs = []
-    for problem in (synthetic_problem(), quadratic_problem(7, 5)):
-        for h in (H_EXP, H_INV):
-            for optimizer in ("amsgrad", "adamx"):
-                runs.append((h, run_oco(problem, optimizer, h, EQUIV_T, record_full=True)))
-    return runs
+    return [(h, trace) for _, _, h, trace in verify.corpus_runs(
+        (("synthetic", None, None, EQUIV_T), ("quadratic", 7, 5, EQUIV_T)),
+        (Schedule.EXP_DECAY, Schedule.INVERSE_T))]
 
 
 # (row, factor): scale the step-(row+1) vhat; 1 - 1e-13 stays inside the
@@ -657,3 +654,21 @@ def test_bounds_suite_reports_gamma_edge():
     assert reports
     assert all(r.status == "fail" for r in reports)
     assert all(r.note == "bound undefined at γ=1" for r in reports)
+
+
+def test_corpus_runs_order_and_one_problem_per_entry(keyed_fills):
+    # entry, then schedule, then amsgrad and adamx; each quadratic entry
+    # draws its centres once, one block, for its four runs
+    schedules = (Schedule.EXP_DECAY, Schedule.INVERSE_T)
+    got = [(optimizer, problem.name, h.schedule, trace.T) for optimizer, problem, h, trace
+           in verify.corpus_runs(verify._BOUNDS_RUNS, schedules)]
+    assert got == [(optimizer, name, schedule, T)
+                   for name, T in (("synthetic", 2020), ("quadratic(seed=0,d=1)", 1000),
+                                   ("quadratic(seed=1,d=5)", 1000))
+                   for schedule in schedules for optimizer in ("amsgrad", "adamx")]
+    assert keyed_fills == [(0, keyed.BLOCK)] * 2
+
+
+def test_corpus_runs_reject_an_unknown_kind():
+    with pytest.raises(ValueError, match="unknown problem kind 'logistic'"):
+        next(verify.corpus_runs([("logistic", 0, 3, 10)], (Schedule.EXP_DECAY,)))
