@@ -11,8 +11,9 @@ minibatch draws) are the values of generators keyed by (seed, t),
 ``np.random.default_rng((seed, t))``. They are computed by
 ``keyed.KeyedTable``, bitwise equal to one generator per t, when a t is
 first asked for: a block of 4096 consecutive t at a time, or a whole run's
-rows at once when a request spans block edges, and kept for the life of the
-problem. A value depends on its key alone, not on the access order, so any
+rows at once when a request spans block edges. They are kept for the life
+of the problem in one list of disjoint runs of consecutive t, each t held
+once. A value depends on its key alone, not on the access order, so any
 f_t can be evaluated at random access and identical configurations produce
 bit-identical traces.
 

@@ -20,6 +20,7 @@ by the scalar generator, so a numpy with another stream cannot move a
 value.
 """
 
+import bisect
 import functools
 import operator
 
@@ -189,65 +190,51 @@ class KeyedTable:
     demand, and kept; any access order sees the same rows, since a row is
     a function of (seed, t) alone.
 
-    ``row`` and a ``rows`` slice inside one block of ``BLOCK`` keys fill that
-    whole block. A ``rows`` slice across a block edge that the table does not
-    already hold is kept as a span, so a run that reads its T rows at once
-    draws T rows, not whole blocks; later requests inside a span read it.
-    Either way only the keys that no block or span holds yet are drawn, so a
-    run at a longer horizon draws only its new rows."""
+    The rows are kept in one list of disjoint runs (start, stop, rows),
+    sorted by start. A request that one run holds is a slice of it.
+    Otherwise only the keys that no run holds are drawn: ``row`` and a
+    ``rows`` slice inside one block of ``BLOCK`` keys widen to that whole
+    block, and a slice across a block edge is drawn at its exact length, so
+    a run that reads its T rows at once draws T rows, not whole blocks. The
+    new rows and every run they overlap become one run, so each key is held
+    once, a run at a longer horizon draws only its new rows, and a read
+    across held blocks is kept for the next."""
 
     def __init__(self, fill):
         self.fill = fill
-        self.blocks = {}
-        self.spans = []  # (start, stop, rows)
-
-    def _block(self, b):
-        if b not in self.blocks:
-            self.blocks[b] = self._gather(b * BLOCK, (b + 1) * BLOCK)[0]
-        return self.blocks[b]
-
-    def _held(self, t):
-        """(start, stop, rows) of a block or span that holds key t, or None."""
-        b = t // BLOCK
-        if b in self.blocks:
-            return b * BLOCK, (b + 1) * BLOCK, self.blocks[b]
-        return next((span for span in self.spans if span[0] <= t < span[1]), None)
-
-    def _gather(self, start, stop):
-        """Rows start .. stop-1 from the blocks and spans that hold them, each
-        gap between those drawn by one ``fill`` call; and whether any was."""
-        pieces, drew, t = [], False, start
-        while t < stop:
-            held = self._held(t)
-            if held is None:  # draw up to the next held key
-                end = min([stop] + [lo for lo, _, _ in self.spans if t < lo < stop]
-                          + [b * BLOCK for b in self.blocks if t < b * BLOCK < stop])
-                pieces.append(self.fill(np.arange(t, end)))
-                drew = True
-            else:
-                end = min(stop, held[1])
-                pieces.append(held[2][t - held[0]:end - held[0]])
-            t = end
-        return (pieces[0] if len(pieces) == 1 else np.concatenate(pieces)), drew
+        self.runs = []  # disjoint (start, stop, rows), sorted by start
 
     def row(self, t):
-        held = self._held(t)
-        return held[2][t - held[0]] if held is not None else self._block(t // BLOCK)[t % BLOCK]
+        return self.rows(t, t + 1)[0]
 
     def rows(self, start, stop):
         """Rows start .. stop-1 as one array, empty when stop <= start."""
         if stop <= start:  # no rows; start's block gives their shape
-            return self._block(start // BLOCK)[:0]
-        held, first = self._held(start), start // BLOCK
-        if held is not None and stop <= held[1]:
-            return held[2][start - held[0]:stop - held[0]]
-        if first == (stop - 1) // BLOCK:
-            return self._block(first)[start - first * BLOCK:stop - first * BLOCK]
-        # a new span takes in what holds its first and last keys
-        last = self._held(stop - 1)
-        lo = held[0] if held is not None else start
-        hi = last[1] if last is not None else stop
-        rows, drew = self._gather(lo, hi)
-        if drew:
-            self.spans = [s for s in self.spans if not lo <= s[0] < hi] + [(lo, hi, rows)]
-        return rows[start - lo:stop - lo]
+            return self.rows(start, start + 1)[:0]
+        runs, by_start = self.runs, operator.itemgetter(0)
+        i = bisect.bisect_right(runs, start, key=by_start) - 1
+        if i >= 0 and stop <= runs[i][1]:
+            lo, _, held = runs[i]
+            return held[start - lo:stop - lo]
+        lo, hi = start, stop
+        if start // BLOCK == (stop - 1) // BLOCK:
+            lo = start - start % BLOCK
+            hi = lo + BLOCK
+        # the runs that overlap lo .. hi-1: from the first that stops after
+        # lo to the last that starts before hi
+        first = bisect.bisect_right(runs, lo, key=operator.itemgetter(1))
+        end = bisect.bisect_left(runs, hi, key=by_start)
+        if first < end:
+            lo = min(lo, runs[first][0])
+        pieces, t = [], lo
+        for a, b, held in runs[first:end]:
+            if t < a:
+                pieces.append(self.fill(np.arange(t, a)))
+            pieces.append(held)
+            t = b
+        if t < hi:
+            pieces.append(self.fill(np.arange(t, hi)))
+            t = hi
+        held = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+        runs[first:end] = [(lo, t, held)]
+        return held[start - lo:stop - lo]

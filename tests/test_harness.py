@@ -297,7 +297,7 @@ def test_column_gradient_is_bitwise_grad(case):
 
 
 @pytest.mark.parametrize("d", range(1, SCALAR_MAX_DIM + 1))
-def test_quadratic_float_oracle_in_any_order(d):
+def test_quadratic_column_gradient_in_any_order(d):
     # the column form x - c_t: a fresh problem per order, so its centres are
     # first drawn at either end, a row or the whole column at a time
     xs = [(-0.0, 0.0, 0.3, -0.7)[i % 4] for i in range(d)]
@@ -491,6 +491,18 @@ def test_quadratic_run_draws_its_centres_once(keyed_fills, T, drawn):
         keyed_fills.clear()
         run_oco(quadratic_problem(0, d), "adamx", H_REF, T, record_full=True)
         assert keyed_fills == drawn
+
+
+def test_quadratic_runs_at_growing_horizons_hold_one_row_per_key(keyed_fills):
+    # the first run fills block 0, each longer one draws only its new
+    # centres, and the table ends with one run of keys 0 .. 50000
+    p = quadratic_problem(0, 1)
+    for T in (1000, 5000, 20000, 50000):
+        run_oco(p, "adamx", H_REF, T)
+    assert keyed_fills == [(0, keyed.BLOCK), (keyed.BLOCK, 5001 - keyed.BLOCK),
+                           (5001, 15000), (20001, 30000)]
+    table = p.affine_grad[1].__self__
+    assert [(lo, hi, len(rows)) for lo, hi, rows in table.runs] == [(0, 50001, 50001)]
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -161,7 +161,7 @@ def test_a_request_across_blocks_draws_its_rows_once(keyed_fills, start, stop):
     np.testing.assert_array_equal(table.rows(start, stop - 1), got[:-1])
     np.testing.assert_array_equal(table.rows(start, stop), got)
     assert keyed_fills == [(start, stop - start)]
-    # a row outside it fills its block, and the span still serves its rows
+    # a row outside it fills its block, and the run still serves its rows
     outside = stop + keyed.BLOCK
     np.testing.assert_array_equal(table.row(outside), scalar_uniform(2, [outside], 3)[0])
     np.testing.assert_array_equal(table.rows(start, stop), got)
@@ -186,7 +186,7 @@ def test_row_order_does_not_change_a_value():
 
 @pytest.mark.parametrize("start", [0, 5, keyed.BLOCK - 1, keyed.BLOCK, 2 * keyed.BLOCK])
 def test_an_empty_request_returns_no_rows_of_the_row_shape(start):
-    # on a block edge too, fresh or after a span across that edge was drawn
+    # on a block edge too, fresh or after a run across that edge was drawn
     fresh = keyed.KeyedTable(lambda ts: keyed.integers(3, ts, 200, 16))
     spanned = keyed.KeyedTable(lambda ts: keyed.integers(3, ts, 200, 16))
     spanned.rows(1, 2 * keyed.BLOCK + 1)
@@ -197,14 +197,76 @@ def test_an_empty_request_returns_no_rows_of_the_row_shape(start):
 
 
 def test_a_longer_request_draws_only_its_new_rows(keyed_fills):
-    # a problem run at growing horizons: each request extends the span that
-    # holds its start, so 9000 keys draw 9000 rows and one span keeps them
+    # a problem run at growing horizons: each request extends the run that
+    # holds its start, so 9000 keys draw 9000 rows and one run keeps them
     table = keyed.KeyedTable(lambda ts: keyed.uniform(6, ts, 2))
     for start, stop in ((1, 5001), (1, 8001), (2, 9001)):
         np.testing.assert_array_equal(table.rows(start, stop),
                                       scalar_uniform(6, range(start, stop), 2))
     assert keyed_fills == [(1, 5000), (5001, 3000), (8001, 1000)]
-    assert [(lo, hi) for lo, hi, _ in table.spans] == [(1, 9001)]
-    # a block that the span partly holds draws only its other keys
+    assert [(lo, hi) for lo, hi, _ in table.runs] == [(1, 9001)]
+    # a block that the run partly holds draws only its other keys
     np.testing.assert_array_equal(table.row(9100), scalar_uniform(6, [9100], 2)[0])
     assert keyed_fills[3:] == [(9001, 3 * keyed.BLOCK - 9001)]
+
+
+def held_rows(table):
+    """The rows a table holds, after checking that its runs are disjoint and sorted."""
+    bounds = [t for lo, hi, rows in table.runs for t in (lo, hi)]
+    assert bounds == sorted(bounds)
+    assert all(len(rows) == hi - lo for lo, hi, rows in table.runs)
+    return sum(hi - lo for lo, hi, _ in table.runs)
+
+
+def test_the_table_holds_one_row_per_key(keyed_fills):
+    # a run across a block edge, a block that overlaps it, then a request
+    # over both and past them: the gaps are drawn, and every key is held once
+    B = keyed.BLOCK
+    table = keyed.KeyedTable(lambda ts: keyed.uniform(4, ts, 2))
+    table.rows(1, 5001)
+    table.row(6000)
+    got = table.rows(0, 3 * B)
+    assert keyed_fills == [(1, 5000), (5001, 2 * B - 5001), (0, 1), (2 * B, B)]
+    assert held_rows(table) == 3 * B
+    np.testing.assert_array_equal(got, scalar_uniform(4, range(3 * B), 2))
+
+
+def test_a_read_across_held_blocks_is_kept(keyed_fills):
+    # blocks filled one row at a time, then one read across all of them:
+    # the read draws nothing, and a second read is a view of the first
+    B = keyed.BLOCK
+    table = keyed.KeyedTable(lambda ts: keyed.integers(3, ts, 200, 16))
+    rows = [table.row(b * B).copy() for b in range(8)]
+    assert keyed_fills == [(b * B, B) for b in range(8)]
+    first, second = table.rows(1, 32001), table.rows(1, 32001)
+    assert keyed_fills == [(b * B, B) for b in range(8)]
+    assert np.shares_memory(first, second)
+    np.testing.assert_array_equal(first[B - 1::B], rows[1:])
+    np.testing.assert_array_equal(first, scalar_integers(3, range(1, 32001), 200, 16))
+    assert held_rows(table) == 8 * B
+
+
+REQUEST = st.tuples(st.integers(0, 3 * keyed.BLOCK + 9), st.integers(-1, 5000))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(REQUEST, min_size=1, max_size=8))
+def test_any_request_sequence_draws_and_holds_each_key_once(requests):
+    # rows (length -1 asks for none) and row (length 0 stands for
+    # row(start)) in any order: each key is drawn at most once and held
+    # once, and every read is the rows of one draw over all keys
+    drawn = []
+
+    def fill(ts):
+        drawn.extend(ts.tolist())
+        return keyed.uniform(7, ts, 2)
+
+    table = keyed.KeyedTable(fill)
+    every = keyed.uniform(7, np.arange(3 * keyed.BLOCK + 5010), 2)
+    for start, length in requests:
+        if length == 0:
+            np.testing.assert_array_equal(table.row(start), every[start])
+        else:
+            np.testing.assert_array_equal(table.rows(start, start + length),
+                                          every[start:start + max(length, 0)])
+    assert len(drawn) == len(set(drawn)) == held_rows(table)
