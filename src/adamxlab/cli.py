@@ -297,6 +297,10 @@ def cmd_verify(args):
     overrides = _flag_overrides(args)
     h = None
     if overrides:
+        if args.suite == "counterexample":
+            # the replay runs the paper's own constants, whatever the flags say
+            print("verify counterexample takes no hyperparameter flags", file=sys.stderr)
+            return EXIT_USAGE
         try:
             h = HyperParams(**overrides)
         except ValueError as err:

@@ -333,7 +333,11 @@ def run_oco(problem, stepper, h, T, record_full=False, record_iterates=None):
     ``affine_grad`` column or calls its ``grad`` once a step, and calls no
     ``cost``; a step function or a wider problem runs one ``grad``, ``cost``
     and ``step`` call per round. Both give the same bytes and the same
-    faults.
+    faults: a run the kernel cannot finish (a ``grad`` that raises, cannot
+    be read as float64 or is not shaped (d,), or a step whose fused
+    finiteness sum is not finite, as on a NaN or an infinity) is run again
+    from x_1 by the step loop, so on such a run ``grad`` may be called up
+    to twice a step.
     """
     step = resolve_stepper(stepper)
     if T < 1:
@@ -346,9 +350,8 @@ def run_oco(problem, stepper, h, T, record_full=False, record_iterates=None):
         record_iterates = record_full
 
     hist = History(T, x1, record_full)
-    if isinstance(stepper, str) and problem.d <= SCALAR_MAX_DIM:
-        run_scalar(RULES[stepper], problem, h, hist)
-    else:
+    if not (isinstance(stepper, str) and problem.d <= SCALAR_MAX_DIM
+            and run_scalar(RULES[stepper], problem, h, hist)):
         state = fresh_state(x1)
         for t in range(1, T + 1):
             g = np.asarray(problem.grad(t, state.x), dtype=np.float64)

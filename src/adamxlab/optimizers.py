@@ -47,14 +47,13 @@ problem whose gradient is x - c_t or -c_t (``affine_grad``): the kernel
 reads the run's c_t rows once and computes the gradient inline, with no
 call and no list a step; x - c and -c on Python floats round as numpy's
 do. Any other problem's gradient comes from one call a step to its
-``grad``, on the point as an array and read back as float64; a result not
-shaped (d,) is checked and coerced by the step loop's own rules, in its
-order. The rows a run keeps are stored by ``History``, the kernel's a
-block at a time, and the losses f_t(x_t) are scored after the run by one
-``costs(T, X)`` call on the iterates. A step function (perfbench's traced
-passes hand ``run_oco`` a wrapped one) or a wider problem runs the step
-loop: one ``grad``, ``cost`` and step call per round. ``SCALAR_MAX_DIM``
-says why the cut sits where it does.
+``grad``, on the point as an array and read back as float64. The rows a
+run keeps are stored by ``History``, the kernel's a block at a time, and
+the losses f_t(x_t) are scored after the run by one ``costs(T, X)`` call
+on the iterates. A step function (perfbench's traced passes hand
+``run_oco`` a wrapped one) or a wider problem runs the step loop: one
+``grad``, ``cost`` and step call per round. ``SCALAR_MAX_DIM`` says why
+the cut sits where it does.
 
 The two are bitwise equal: Python's float + - * / are IEEE-754 binary64
 operations rounded to nearest, as numpy's ufuncs are, ``math.sqrt`` is
@@ -64,12 +63,19 @@ numpy's tie rule for the maximum and the clamp, which return their
 second argument (deciding the sign of a zero, as for x_1 = -0.0 on a
 lower bound of 0.0), and needs no other of numpy's rules: in a run from a
 fresh start v and v_hat are finite and at least +0.0, so a weight of 0.0
-gives max(0.0 * v_hat, v) = v bitwise, and a NaN or
-infinity makes the step's fused finiteness sum non-finite. Such a step is
-re-run by ``check_oracle`` and ``_array_step``, which raise the step
-functions' fault or, if the sum merely overflowed, return the same step.
-``tests/test_harness.py`` holds named runs byte-equal to the step loop,
-faults included.
+gives max(0.0 * v_hat, v) = v bitwise, and a NaN or infinity makes the
+step's fused finiteness sum non-finite.
+
+The kernel runs only that clean path, and what a faulty run raises is
+defined once, by the step loop. It hands a run back (``run_scalar``
+returns False) on three events: a fused sum that is not finite, a
+``grad`` call that raises or cannot be read as float64, and a gradient
+not shaped (d,). ``run_oco`` then runs the whole run again from x_1 in the
+step loop, which raises ``check_oracle``'s and ``_array_step``'s fault in
+its order or, if the sum merely overflowed, gives the same bytes. Only the
+``grad`` call is wrapped in ``try``: any other error in the kernel
+propagates with its traceback. ``tests/test_harness.py`` holds named runs
+byte-equal to the step loop, faults included.
 
 A zero denominator gives its coordinate a zero update: where every
 gradient so far vanished (m = 0 too; with the default eps = 0 this is the
@@ -358,40 +364,6 @@ class History:
             self.v_hat[t - 1] = state.v_hat
 
 
-def _scored(costs, X):
-    """f_t(x_t) for the iterate rows X = x_1..x_n, as ``costs`` gives them.
-    Raises the oracle's NumericFault at the first step whose loss is not
-    finite."""
-    ls = costs(len(X), X)
-    bad = ~np.isfinite(ls)
-    if bad.any():
-        raise _oracle_fault(int(bad.argmax()) + 1)
-    return ls
-
-
-def _odd_gradient(t, g, d):
-    """The step-t gradient ``g``, read as float64 but not shaped (d,), taken
-    by the step loop's rules in its order: ``check_oracle``'s fault, then
-    ``_array_step``'s coercion to d coordinates (ValueError if it fails)."""
-    check_oracle(t, 0.0, g)
-    return as_vector(g, dim=d)
-
-
-def _rerun_step(t, gs, xs, ms, vs, vhs, h, box, rule):
-    """Step t from the lists of x, m, v and v_hat before it, re-run by
-    ``check_oracle`` and ``_array_step`` on a rebuilt state: the run kernel's
-    path for a step whose fused finiteness sum is not finite. Raises their
-    fault, or returns the step's x, m, v and v_hat as lists when the sum
-    merely overflowed."""
-    g = np.array(gs)
-    check_oracle(t, 0.0, g)
-    state = _array_step(
-        OptimizerState(x=np.array(xs), m=np.array(ms), v=np.array(vs), v_hat=np.array(vhs),
-                       t=t - 1),
-        g, h, box, rule)
-    return state.x.tolist(), state.m.tolist(), state.v.tolist(), state.v_hat.tolist()
-
-
 def _step_columns(alpha, beta1s, weights, start, stop):
     """beta1_t, 1 - beta1_t, alpha_t and w_t for t = start + 1 .. stop as
     lists of floats: the part of a block of steps that does not depend on x.
@@ -403,18 +375,17 @@ def _step_columns(alpha, beta1s, weights, start, stop):
 
 
 # The run kernel, from which ``_kernel`` generates one function per (d, full,
-# form). Its fields: {x} "x0, x1, ...," and likewise {lo}, {up} and {g} for
-# the box and the gradient, {nx} for the iterate a step computes, {m}, {v},
-# {vh} for the moments before step t and {nm}, {nv}, {nvh} for those it
-# computes; {zeros} sets the moments to 0.0; {cs} and {cols} add the
-# gradient's column c0, c1, ... to the loop, {grad} is the lines that give
-# the gradient and {done} the name of the last step whose gradient was
-# given; {step} is the coordinate steps, {total} the fused
-# finiteness sum, {commit} the lines that adopt the new iterate and moments
-# and {row} the history row a step appends.
+# form). Its fields: {d} the number of coordinates, {x} "x0, x1, ...," and
+# likewise {lo}, {up}, {m}, {v} and {vh} for the box and the moments, which a
+# step updates in place; {cs} and {cols} add the gradient's column c0, c1, ...
+# to the loop, {grad} is the lines that give the gradient, {step} the
+# coordinate steps, {total} the fused finiteness sum and {row} the history
+# row a step appends. It returns True when the run is done, and False,
+# handing the run back, at a gradient it cannot read or a step whose fused
+# sum is not finite.
 _KERNEL = """\
-def kernel(rule, problem, h, hist, beta1s, weights, column):
-    grad, costs, box = problem.grad, problem.costs, problem.box
+def kernel(problem, h, hist, beta1s, weights, column):
+    grad, box = problem.grad, problem.box
     T = len(hist.losses)
     beta2, eps, cb2 = h.beta2, h.epsilon, 1.0 - h.beta2
     sqrt, isfinite = math.sqrt, math.isfinite
@@ -422,33 +393,21 @@ def kernel(rule, problem, h, hist, beta1s, weights, column):
     {x} = hist.iterates[0].tolist()
     {lo} = box.lower.tolist()
     {up} = box.upper.tolist()
-    {zeros} = 0.0
+    {m} = {v} = {vh} = (0.0,) * {d}
     # the current block's rows, flat, as hist.store takes them
     buf = []
-    # {done}: the last step whose gradient was given, where the step loop
-    # would have gone on to the loss
-    {done} = 0
-    try:
-        for start in range(0, T, _BLOCK):
-            stop = min(start + _BLOCK, T)
-            for t, b1, cb1, a, w{cs} in zip(
-                    range(start + 1, stop + 1),
-                    *_step_columns(h.alpha, beta1s, weights, start, stop){cols}):
+    for start in range(0, T, _BLOCK):
+        stop = min(start + _BLOCK, T)
+        for t, b1, cb1, a, w{cs} in zip(
+                range(start + 1, stop + 1),
+                *_step_columns(h.alpha, beta1s, weights, start, stop){cols}):
 {grad}
 {step}
-                if not isfinite({total}):
-                    ({nx}), ({nm}), ({nv}), ({nvh}) = _rerun_step(
-                        t, [{g}], [{x}], [{m}], [{v}], [{vh}], h, box, rule)
-{commit}
-                buf += ({row})
-            hist.store(start, buf)
-    except Exception:
-        # the step loop meets a non-finite loss at step s before anything a
-        # later step raises, whatever its type
+            if not isfinite({total}):
+                return False
+            buf += ({row})
         hist.store(start, buf)
-        if {done}:
-            _scored(costs, hist.iterates[:{done}])
-        raise
+    return True
 """
 
 # the gradient lines of each form: the call of the problem's grad, read as
@@ -456,10 +415,12 @@ def kernel(rule, problem, h, hist, beta1s, weights, column):
 # the problem's column
 _GRADIENTS = {
     "oracle": """\
-gs = asarray(grad(t, array([{x}])), float64)
-oracled = t
+try:
+    gs = asarray(grad(t, array([{x}])), float64)
+except Exception:
+    return False
 if gs.shape != ({d},):
-    gs = _odd_gradient(t, gs, {d})
+    return False
 {g} = gs.tolist()
 """,
     "x-c": "g{i} = x{i} - c{i}\n",
@@ -471,14 +432,14 @@ _AFFINE_FORMS = {1.0: "x-c", 0.0: "-c"}
 
 # coordinate i of a step (z is the pre-clamp iterate)
 _COORDINATE = """\
-nm{i} = b1 * m{i} + cb1 * g{i}
-nv{i} = beta2 * v{i} + cb2 * g{i} * g{i}
+m{i} = b1 * m{i} + cb1 * g{i}
+v{i} = beta2 * v{i} + cb2 * g{i} * g{i}
 wvh = w * vh{i}
-nvh{i} = wvh if wvh > nv{i} else nv{i}
-den = sqrt(nvh{i}) + eps
-z{i} = x{i} - a * (nm{i} / den if den > 0.0 else 0.0)
+vh{i} = wvh if wvh > v{i} else v{i}
+den = sqrt(vh{i}) + eps
+z{i} = x{i} - a * (m{i} / den if den > 0.0 else 0.0)
 y = z{i} if z{i} > lo{i} else lo{i}
-nx{i} = y if y < up{i} else up{i}
+x{i} = y if y < up{i} else up{i}
 """
 
 
@@ -492,25 +453,22 @@ def _kernel(d, full, form):
         return ", ".join(f"{prefix}{i}" for i in range(d)) + ","
 
     def block(lines):
-        return textwrap.indent(lines, " " * 16).rstrip("\n")
+        return textwrap.indent(lines, " " * 12).rstrip("\n")
 
     def each(template):
         return block("".join(template.format(i=i) for i in range(d)))
 
     if form == "oracle":
         grad = block(_GRADIENTS[form].format(d=d, x=names("x"), g=names("g")))
-        done, cs, cols = "oracled", "", ""
+        cs, cols = "", ""
     else:
         grad = each(_GRADIENTS[form])
-        done, cs = "t", ", " + names("c")
-        cols = ",\n" + " " * 20 + "*column[start:stop].T.tolist()"
+        cs = ", " + names("c")
+        cols = ",\n" + " " * 16 + "*column[start:stop].T.tolist()"
     src = _KERNEL.format(
-        x=names("x"), lo=names("lo"), up=names("up"), g=names("g"), nx=names("nx"),
-        m=names("m"), v=names("v"), vh=names("vh"), nm=names("nm"), nv=names("nv"),
-        nvh=names("nvh"), zeros=" = ".join(f"{q}{i}" for q in ("m", "v", "vh") for i in range(d)),
-        cs=cs, cols=cols, grad=grad, done=done, step=each(_COORDINATE),
-        total=" + ".join(f"(nm{i} + nv{i} + nvh{i} + z{i})" for i in range(d)),
-        commit=each("x{i} = nx{i}\nm{i} = nm{i}\nv{i} = nv{i}\nvh{i} = nvh{i}\n"),
+        d=d, x=names("x"), lo=names("lo"), up=names("up"), m=names("m"), v=names("v"),
+        vh=names("vh"), cs=cs, cols=cols, grad=grad, step=each(_COORDINATE),
+        total=" + ".join(f"(m{i} + v{i} + vh{i} + z{i})" for i in range(d)),
         row=" ".join(names(q) for q in ("g", "x", "m", "v", "vh")[:5 if full else 2]))
     filename = f"<adamxlab run_scalar d={d}{' full' if full else ''} g={form}>"
     linecache.cache[filename] = (len(src), None, src.splitlines(True), filename)
@@ -529,22 +487,21 @@ def run_scalar(rule, problem, h, hist):
     ``weight_sequence(rule, h, T)`` and the gradient at x_t from the
     problem. A problem with ``affine_grad`` = (s, rows) gives it as x_t - c_t
     (s = 1) or -c_t (s = 0), with c_t read from the column ``rows(1, T + 1)``,
-    fetched once per run and of shape (T, d) (ValueError otherwise); any other
-    problem's ``grad`` is called once a step on x_t as an array, and a result
-    that is not shaped (d,) once read as float64 is checked and coerced by the
-    step loop's rules (NumericFault or ValueError). A step runs coordinate by
+    fetched once per run and of shape (T, d) (ValueError otherwise, before
+    the first step); any other problem's ``grad`` is called once a step on
+    x_t as an array and read as float64. A step runs coordinate by
     coordinate, bitwise equal to ``_array_step`` on the states a run
-    reaches; a step whose fused finiteness sum is not finite is re-run on a
-    rebuilt state as the module docstring says, so a run keeps only
-    coordinate steps whose entries are all finite. Each step appends its
-    row to one flat list that ``hist.store`` takes ``_BLOCK`` rows at a time.
+    reaches, and appends its row to one flat list that ``hist.store`` takes
+    ``_BLOCK`` rows at a time. After the steps the losses f_t(x_t) are scored
+    by one ``problem.costs(T, X)`` call on the iterate rows; a non-finite one
+    raises the oracle's fault at its own step, as the step loop would.
 
-    The losses f_t(x_t) are scored after the steps, by one
-    ``problem.costs(T, X)`` call on the iterate rows. The step loop checks
-    each loss before its step, so when a step raises, the losses up to it
-    (up to the step before, if reading the gradient raised) are scored
-    first, and a non-finite one raises the oracle's fault at its own step
-    instead. Its only output is ``hist``.
+    Returns True when the run is done, its only output ``hist``. Returns
+    False, having scored no loss, when the kernel cannot finish the run: a
+    ``grad`` call raises or cannot be read as float64, a gradient is not
+    shaped (d,), or a step's fused finiteness sum is not finite. The caller
+    then runs the whole run again in the step loop, which gives its bytes
+    or its fault.
     """
     T, d = hist.grads.shape
     if problem.affine_grad is None:
@@ -556,9 +513,15 @@ def run_scalar(rule, problem, h, hist):
         if column.shape != (T, d):
             raise ValueError(f"affine_grad rows(1, {T + 1}) returned shape {column.shape}, "
                              f"expected ({T}, {d})")
-    _kernel(d, hist.full, form)(rule, problem, h, hist, beta1_sequence(h, T),
-                                weight_sequence(rule, h, T), column)
-    hist.losses[:] = _scored(problem.costs, hist.iterates[:T])
+    if not _kernel(d, hist.full, form)(problem, h, hist, beta1_sequence(h, T),
+                                       weight_sequence(rule, h, T), column):
+        return False
+    losses = problem.costs(T, hist.iterates[:T])
+    bad = ~np.isfinite(losses)
+    if bad.any():
+        raise _oracle_fault(int(bad.argmax()) + 1)
+    hist.losses[:] = losses
+    return True
 
 
 def step_adam(state, g, h, box):

@@ -292,6 +292,16 @@ def test_verify_gamma_one_fails_with_note(capsys):
     assert notes == {"bound undefined at γ=1"}
 
 
+@pytest.mark.parametrize("flag", ["--alpha", "--beta1", "--beta2", "--lambda", "--epsilon"])
+def test_verify_counterexample_rejects_hyperparameter_flags(flag, capsys):
+    # the replay runs the paper's constants, so a pass would not be for the
+    # run the flag asked for
+    code, out, err = run_cli(["verify", "counterexample", flag, "0.5"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "verify counterexample takes no hyperparameter flags\n"
+
+
 def test_verify_rejects_invalid_hyperparameters(capsys):
     code, out, err = run_cli(["verify", "bounds", "--beta2", "1.5"], capsys)
     assert code == 2

@@ -893,8 +893,8 @@ FAULTS = {
     "inf-cost-and-overflowing-moment": (at_step(3, lambda d: np.r_[np.zeros(d - 1), 1e200]),
                                         cost_inf_at(3), 6,
                                         ("non-finite cost or gradient at step 3", 3)),
-    # past a block edge: the losses are scored after the run, or up to the
-    # step that raised, over the rows of a full and a partial block
+    # past a block edge: the losses are scored after the run, over the rows
+    # of a full and a partial block
     "late-inf-cost": (at_step(0, None), cost_inf_at(LATE), _BLOCK + 10,
                       (f"non-finite cost or gradient at step {LATE}", LATE)),
     "late-overflowing-moment": (at_step(LATE, lambda d: np.r_[np.zeros(d - 1), 1e200]),
@@ -945,18 +945,42 @@ def test_run_kernel_rejects_a_column_of_the_wrong_shape(shape):
 
 
 @pytest.mark.parametrize("k", [4, LATE])
-def test_run_kernel_scores_the_rows_of_the_block_a_fault_cuts_short(k):
-    # a loss at a NaN row is NaN, so a row not stored before the losses up to
-    # the fault are scored would turn the gradient's fault at step k into a
-    # cost fault at an earlier step
+def test_run_kernel_hands_back_a_run_it_cannot_finish(k):
+    # an infinite gradient at step k: the kernel stops there and returns
+    # False for the step loop to run the run again, and scores no loss
     d, T = 2, _BLOCK + 10
-    p = oracle_problem(d, at_step(k, lambda d: np.r_[np.zeros(d - 1), np.inf])(d),
-                       lambda t, x: 0.0 * x[0])
+    p = oracle_problem(d, at_step(k, lambda d: np.r_[np.zeros(d - 1), np.inf])(d))
+    scored = []
+    p = dataclasses.replace(p, costs=lambda T, x: scored.append(T))
     hist = History(T, np.zeros(d), False)
-    hist.iterates[1:] = np.nan
-    with pytest.raises(NumericFault, match=f"non-finite cost or gradient at step {k}$"):
-        run_scalar(RULES["adamx"], p, H_REF, hist)
-    assert np.isfinite(hist.iterates[:k]).all() and np.isnan(hist.iterates[k:]).all()
+    hist.losses[:] = np.nan
+    assert run_scalar(RULES["adamx"], p, H_REF, hist) is False
+    assert scored == [] and np.isnan(hist.losses).all()
+
+
+def test_a_handed_back_run_calls_grad_again_in_the_step_loop():
+    # a NaN gradient at step 3: the kernel calls grad up to it and hands the
+    # run back, and the step loop calls grad again from step 1 up to its
+    # fault; the column form calls grad only in the step loop
+    grad, _, T, fault = FAULTS["nan-gradient"]
+    problem = oracle_problem(2, grad(2))
+    for p, expected in ((problem, [1, 2, 3, False, 1, 2, 3]),
+                        (column_twin(problem), [False, 1, 2, 3])):
+        # the steps grad is called at, and what the kernel returned
+        log = []
+
+        def counted(t, x, grad=p.grad):
+            log.append(t)
+            return grad(t, x)
+
+        def kernel(*args):
+            log.append(run_scalar(*args))
+            return log[-1]
+
+        with mock.patch.object(harness, "run_scalar", kernel):
+            got = run_outcome(dataclasses.replace(p, grad=counted), "adamx", H_REF, T)
+        assert got == (NumericFault, *fault)
+        assert log == expected
 
 
 # each entry maps d to what a problem's grad returns: off-shape, or not
@@ -1152,6 +1176,7 @@ def test_named_run_scores_its_losses_in_one_costs_call():
     # the kernel's costs calls: the losses and the comparator's
     kernel = {"cost": 0, "grad": T, "costs": 2}
     column = {"cost": 0, "grad": 0, "rows": 1, "costs": 2}
+    # pinned: perfbench's traced passes time this cost call as oracle.cost (ROADMAP item 14)
     loop = {"cost": T, "grad": T, "costs": 1}
     column_loop = {"cost": T, "grad": T, "rows": 0, "costs": 1}
     for stepper, p, expected in (

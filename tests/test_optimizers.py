@@ -405,7 +405,7 @@ def test_weight_columns_are_the_scalar_rules_bit_for_bit(schedule):
 
 def step_body(src):
     """The statements of a kernel step, less its fault branch: the body of
-    the innermost for loop without the ``if not isfinite(...)`` re-run."""
+    the innermost for loop without the ``if not isfinite(...)`` hand-back."""
     loops = [n for n in ast.walk(ast.parse(src)) if isinstance(n, ast.For)]
     return [stmt for stmt in loops[-1].body
             if not (isinstance(stmt, ast.If) and "isfinite" in ast.unparse(stmt.test))]
@@ -420,15 +420,14 @@ def test_the_kernel_reads_what_x_does_not_change_from_columns():
                 src = "".join(linecache.getlines(name))
                 assert "rule(" not in src and "is None" not in src and "sqrt(t)" not in src
                 # one coordinate body, and one history append a step
-                assert src.count("nvh0 = ") == 1 and src.count("buf += ") == 1
+                assert src.count("vh0 = ") == 1 and src.count("buf += ") == 1
                 body = [n for stmt in step_body(src) for n in ast.walk(stmt)]
                 calls = {ast.unparse(n.func) for n in body if isinstance(n, ast.Call)}
                 lists = [n for n in body if isinstance(n, (ast.List, ast.ListComp))]
                 if form == "oracle":
                     # grad on the point as an array, read as float64; an
-                    # off-shape result goes to the step loop's rules
-                    assert calls == {"grad", "array", "asarray", "_odd_gradient", "gs.tolist",
-                                     "sqrt"}
+                    # off-shape result hands the run back to the step loop
+                    assert calls == {"grad", "array", "asarray", "gs.tolist", "sqrt"}
                     assert len(lists) == 1  # the point handed to grad
                 else:
                     # the gradient from the column: no call of grad and no
@@ -483,13 +482,35 @@ def test_a_second_run_reuses_its_kernel():
         assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
 
-def test_a_traceback_through_the_kernel_shows_its_source():
+def test_an_error_inside_the_kernel_is_not_replayed(monkeypatch):
+    # only what grad raises hands the run back: an error of the kernel's own
+    # reaches the caller with its traceback, and the step loop never runs
+    calls = []
+
+    def grad(t, x):
+        calls.append(t)
+        return np.full(3, 0.5)
+
+    def store(self, start, buf):
+        raise RuntimeError("store failed")
+
+    monkeypatch.setattr(History, "store", store)
+    p = replace(toy_training_problem(0), grad=grad)
+    with pytest.raises(RuntimeError, match="store failed") as info:
+        run_oco(p, "adamx", H_REF, 4, record_full=True)
+    assert calls == [1, 2, 3, 4]
+    text = "".join(traceback.format_exception(info.value))
+    assert 'File "<adamxlab run_scalar d=3 full g=oracle>", line ' in text
+    assert "    hist.store(start, buf)\n" in text
+
+
+def test_a_grad_that_raises_reaches_the_caller_from_the_step_loop():
     def grad(t, x):
         raise RuntimeError("oracle failed")
 
     p = replace(toy_training_problem(0), grad=grad)
-    with pytest.raises(RuntimeError, match="oracle failed") as info:
+    with pytest.raises(RuntimeError, match="^oracle failed$") as info:
         run_oco(p, "adamx", H_REF, 4, record_full=True)
     text = "".join(traceback.format_exception(info.value))
-    assert 'File "<adamxlab run_scalar d=3 full g=oracle>", line ' in text
-    assert "    gs = asarray(grad(t, array([x0, x1, x2,])), float64)\n" in text
+    assert "g = np.asarray(problem.grad(t, state.x), dtype=np.float64)" in text
+    assert "run_scalar d=3" not in text
